@@ -2,9 +2,9 @@
 
 Membranes and active data (Idea 1), the data-centric DED execution
 model (Idea 2), PD types and views, the Processing Store, built-ins,
-subject rights, compliance auditing, breach monitoring, semantic
-purpose matching, cross-operator transfer, and the crypto substrate
-for the right to be forgotten.  ``repro.core.system.RgpdOS`` assembles
+subject rights, breach monitoring, semantic purpose matching,
+cross-operator transfer, and the crypto substrate for the right to be
+forgotten.  ``repro.core.system.RgpdOS`` assembles
 all of it; most users should start there (re-exported as
 ``repro.RgpdOS``).
 """

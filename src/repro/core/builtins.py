@@ -296,7 +296,7 @@ class BuiltinFunctions:
         """Erase one PD record — and, by default, every copy of it.
 
         Returns an :class:`EraseReport` carrying the forensic residue
-        scan, so callers (and the compliance auditor) can verify the
+        scan, so callers (and the audit engine) can verify the
         forgetting actually happened.
         """
         membrane = self.dbfs.get_membrane(target.uid, self.credential)

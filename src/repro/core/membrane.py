@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .. import errors
 from .datatypes import ORIGINS, SENSITIVITY_LEVELS, PDType
@@ -154,12 +154,13 @@ class Membrane:
         **Canonical boundary rule.**  A membrane is expired at the
         instant ``now == created_at + ttl_seconds`` (inclusive ``>=``).
         Every expiry decision in the system — the DED access filter,
-        the TTL watcher monitor, the Art. 5(1)(e) audit control, the
-        compliance auditor's grace check, transfer export/import and
-        the expiry daemon — must route through this predicate (or its
-        ``deadline`` / :meth:`remaining_ttl` companions) so that a PD
-        exactly at its deadline is treated identically everywhere:
-        unreadable, overdue, and not transferable.
+        :func:`overdue_membranes` (behind the TTL watcher, the
+        Art. 5(1)(e) audit control and the rights TTL sweep), transfer
+        export/import and the expiry daemon — must route through this
+        predicate (or its ``deadline`` / :meth:`remaining_ttl`
+        companions) so that a PD exactly at its deadline is treated
+        identically everywhere: unreadable, overdue, and not
+        transferable.
         """
         if self.ttl_seconds is None:
             return False
@@ -367,3 +368,18 @@ def membrane_for_type(
             by=granted_by,
         )
     return membrane
+
+
+def overdue_membranes(
+    membranes: Iterable[Tuple[str, Membrane]], now: float
+) -> List[Tuple[str, Membrane]]:
+    """The live (unerased) ``(uid, membrane)`` pairs past their TTL.
+
+    The one overdue-TTL scan, on the :meth:`Membrane.is_expired`
+    boundary: a PD exactly at its deadline is overdue.
+    """
+    return [
+        (uid, membrane)
+        for uid, membrane in membranes
+        if not membrane.erased and membrane.is_expired(now)
+    ]

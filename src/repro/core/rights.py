@@ -34,7 +34,7 @@ from ..storage.dbfs import DatabaseFS
 from .active_data import AccessCredential, PDRef
 from .builtins import BuiltinFunctions, EraseReport
 from .clock import Clock
-from .membrane import BASIS_CONSENT, Membrane
+from .membrane import BASIS_CONSENT, Membrane, overdue_membranes
 from .processing_log import ProcessingLog
 
 
@@ -423,9 +423,9 @@ class SubjectRights:
         with self.telemetry.op("rights.ttl_sweep") as span:
             now = self.clock.now()
             purged: List[str] = []
-            for uid, membrane in self.dbfs.iter_membranes(self._credential):
-                if membrane.erased or not membrane.is_expired(now):
-                    continue
+            for uid, membrane in overdue_membranes(
+                self.dbfs.iter_membranes(self._credential), now
+            ):
                 ref = PDRef(
                     uid=uid,
                     pd_type=membrane.pd_type,

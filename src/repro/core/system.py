@@ -9,7 +9,7 @@
 * the **Processing Store** (the only entry point), the **built-ins**,
   the per-invocation **DEDs**, and the **processing log**;
 * the **authority escrow** keys for the right to be forgotten;
-* the **subject-rights** API and the **compliance auditor**.
+* the **subject-rights** API and the article-indexed **audit engine**.
 
 Typical use::
 
@@ -47,7 +47,6 @@ from ..storage.shard import ShardedDBFS
 from .active_data import PDRef
 from .builtins import EraseReport
 from .clock import Clock
-from .compliance import ComplianceAuditor, ComplianceReport
 from .crypto import Authority
 from .datatypes import PDType
 from .ded import DEDCostModel, InvocationResult
@@ -177,12 +176,6 @@ class RgpdOS:
             log=self.log,
             clock=self.clock,
             telemetry=self.telemetry,
-        )
-        self.auditor = ComplianceAuditor(
-            dbfs=self.dbfs,
-            builtins=self.ps.builtins,
-            log=self.log,
-            clock=self.clock,
         )
         # Art. 33/34: breach monitoring over the mediation counters.
         from .breach import BreachMonitor  # deferred: breach uses log types
@@ -447,17 +440,13 @@ class RgpdOS:
     # Compliance & time
     # ------------------------------------------------------------------
 
-    def audit(self) -> ComplianceReport:
-        return self.auditor.audit()
-
-    def audit_report(self):
+    def audit(self) -> "AuditReport":
         """Run the article-indexed audit engine (``repro.obs.audit``).
 
-        Unlike :meth:`audit` (the seed's rule-based
-        :class:`ComplianceReport`, which this folds in), the returned
-        :class:`~repro.obs.audit.AuditReport` indexes every verdict by
-        GDPR article and attaches resolvable evidence references, and
-        the run itself is sealed into the evidence trail.
+        The returned :class:`~repro.obs.audit.AuditReport` indexes every
+        verdict by GDPR article and attaches resolvable evidence
+        references, and the run itself is sealed into the evidence
+        trail.
         """
         return self.audit_engine.run()
 

@@ -1,11 +1,13 @@
 """Article-indexed compliance audit engine.
 
-The paper's pitch is that the OS can *demonstrate* GDPR compliance,
-not merely enforce it: § 4's processing log "logs every executed
-processing", and the design replaces sysadmin eyeballs with
-machine-checked obligations.  This module is the demonstrating half:
-:class:`AuditEngine` evaluates a live :class:`~repro.core.system.RgpdOS`
-against a **control map** keyed by GDPR article —
+The paper frames rgpdOS as "a framework which forces the data operator
+to respect a number of *technical* rules, which in turn allows the OS
+to ensure GDPR compliance", and pitches that the OS can *demonstrate*
+that compliance, not merely enforce it: § 4's processing log "logs
+every executed processing".  This module is the demonstrating half.
+:data:`CONTROLS` is one table of controls keyed by GDPR article, one
+machine-checkable statement per obligation, and :class:`AuditEngine`
+evaluates it against a live :class:`~repro.core.system.RgpdOS`:
 
 * Art. 6   — lawful basis declared (and consent actually granted) for
   every purpose that processed PD;
@@ -13,21 +15,27 @@ against a **control map** keyed by GDPR article —
   counters showing only projected fields were materialised;
 * Art. 5(1)(e) — storage limitation: no live membrane past its TTL;
 * Art. 32  — security of processing: outsider probes refused at every
-  DBFS entry point (probed negatively, not trusted);
+  DBFS entry point;
 * Art. 33  — breach notification: every notifiable breach report is
   either notified or inside its 72-hour window;
 * Art. 30  — records of processing: the log covers every subject that
-  holds PD and every entry went through the PS.
+  holds PD and every entry went through the PS;
+* Art. 25  — every PD stored in DBFS carries a membrane;
+* Art. 7   — membranes name a subject and use declared consent scopes;
+* Art. 7(3) — all copies in a lineage group share one consent state;
+* Art. 9   — sensitive fields live in a separate inode;
+* Art. 17  — erased PD is unreadable through every DBFS path.
+
+Structural rules are probed, not trusted: the Art. 32 check attempts
+the forbidden access and counts the refusals.  A run reads the
+membranes once and hands that list to every check.
 
 Each control pulls concrete :class:`Evidence` — processing-log
-entries, telemetry counters and gauges, membrane state, journal
-stats — and every evidence item carries a ``ref`` that
-:func:`resolve_evidence` can re-resolve against the live system, so a
-report is checkable, not just readable.  The pre-existing
-:class:`~repro.core.compliance.ComplianceAuditor` rules (membrane
-presence, erasure, sensitive-field separation, ...) are *folded into*
-the same report rather than duplicated: each of its findings becomes
-one more article-indexed control result.
+entries, telemetry counters and gauges, membrane state, sealed trail
+entries — and every evidence item carries a ``ref`` that
+:func:`resolve_evidence` re-resolves against the live system; a
+``metric:`` item's ``data`` is the value its ref resolves to right
+after the run, so a report is checkable, not just readable.
 
 Reports render as JSON (``to_dict``) and regulator-ready markdown
 (``to_markdown``), and every audit run seals a summary entry into the
@@ -37,12 +45,14 @@ system's hash-chained :class:`~repro.obs.evidence.EvidenceTrail`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .. import errors
 from ..core.active_data import AccessCredential
 from ..core.breach import NOTIFICATION_DEADLINE_SECONDS
-from ..core.membrane import LAWFUL_BASES
+from ..core.membrane import LAWFUL_BASES, Membrane, overdue_membranes
+from ..storage.query import DataQuery, MembraneQuery
+from .monitors import breach_status
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.system import RgpdOS
@@ -51,15 +61,8 @@ STATUS_PASS = "pass"
 STATUS_WARN = "warn"
 STATUS_FAIL = "fail"
 
-#: Metric evidence attached to each folded ComplianceAuditor rule, so
-#: even the structural probes carry a registry-resolvable reference.
-_FOLDED_RULE_METRICS = {
-    "dbfs-ded-only": "rgpdos.dbfs.denied_accesses",
-    "every-pd-has-membrane": "rgpdos.dbfs.records",
-    "erased-pd-unreadable": "rgpdos.dbfs.deletes",
-    "all-processing-via-ps": "rgpdos.audit.log_entries",
-}
-_FOLDED_DEFAULT_METRIC = "rgpdos.dbfs.records"
+#: The DED credential the audit reads membranes and probes erasures with.
+_AUDIT_DED = AccessCredential(holder="audit-engine", is_ded=True)
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,8 @@ class Evidence:
 
     ``ref`` is a ``kind:locator`` string :func:`resolve_evidence`
     understands (``metric:...``, ``log:entry:...``, ``membrane:...``,
-    ``purpose:...``, ``journal:shard:...``, ``breach:...``,
-    ``trail:...``); ``data`` is the value observed at audit time.
+    ``purpose:...``, ``breach:...``, ``trail:...``); ``data`` is the
+    value observed at audit time.
     """
 
     kind: str
@@ -189,51 +192,524 @@ class AuditReport:
         return "\n".join(lines)
 
 
+#: What every check sees: the run's one read of ``(uid, membrane)``.
+Membranes = List[Tuple[str, Membrane]]
+#: What every check returns: ``(status, detail, evidence)``.
+Verdict = Tuple[str, str, List[Evidence]]
+
+
+def _records_evidence(membranes: Membranes, summary: str) -> Evidence:
+    """The run's membrane count, backed by the ``rgpdos.dbfs.records``
+    gauge (one membrane per stored record)."""
+    return Evidence(kind="telemetry", ref="metric:rgpdos.dbfs.records",
+                    summary=summary, data=len(membranes))
+
+
+# -- checks ---------------------------------------------------------------
+
+
+def _check_lawful_basis(system: "RgpdOS", membranes: Membranes) -> Verdict:
+    """Art. 6: every purpose names a lawful basis; consent-based
+    purposes that processed PD are actually granted somewhere."""
+    purposes = dict(system.ps._purposes)
+    bad_basis = [
+        name for name, p in purposes.items()
+        if p.basis not in LAWFUL_BASES
+    ]
+    granted: Dict[str, int] = {name: 0 for name in purposes}
+    for _uid, membrane in membranes:
+        if membrane.erased:
+            continue
+        for purpose, decision in membrane.consents.items():
+            if purpose in granted and decision.scope != "none":
+                granted[purpose] += 1
+    ungrounded = [
+        name for name, p in purposes.items()
+        if p.basis == "consent"
+        and granted.get(name, 0) == 0
+        and any(e.outcome == "completed"
+                for e in system.log.for_purpose(name))
+    ]
+    evidence = [
+        Evidence(
+            kind="telemetry",
+            ref="metric:rgpdos.dbfs.subjects",
+            summary="subjects whose membranes were inspected",
+            data=len(system.dbfs.list_subjects()),
+        )
+    ]
+    for name, purpose in sorted(purposes.items()):
+        evidence.append(Evidence(
+            kind="purpose",
+            ref=f"purpose:{name}",
+            summary=(f"basis={purpose.basis}, "
+                     f"granted by {granted.get(name, 0)} membrane(s)"),
+            data={"basis": purpose.basis,
+                  "granted_membranes": granted.get(name, 0)},
+        ))
+        entries = system.log.for_purpose(name)
+        if entries:
+            evidence.append(Evidence(
+                kind="processing_log",
+                ref=f"log:entry:{entries[0].entry_id}",
+                summary=f"first logged processing under {name!r}",
+                data=entries[0].outcome,
+            ))
+    if bad_basis:
+        return STATUS_FAIL, (
+            f"purposes with unknown lawful basis: {bad_basis}"
+        ), evidence
+    if ungrounded:
+        return STATUS_WARN, (
+            f"consent-based purposes processed PD but no live membrane "
+            f"grants them (consent may have been withdrawn since): "
+            f"{ungrounded}"
+        ), evidence
+    return STATUS_PASS, (
+        f"all {len(purposes)} purposes carry a lawful basis "
+        f"({sorted(LAWFUL_BASES)})"
+    ), evidence
+
+
+def _check_minimisation(system: "RgpdOS", membranes: Membranes) -> Verdict:
+    """Art. 5(1)(c): purposes scoped to views; decode counters show
+    the store materialises only projected fields."""
+    purposes = dict(system.ps._purposes)
+    unknown_types: List[str] = []
+    whole_type_consent: List[str] = []
+    view_scoped = 0
+    for name, purpose in purposes.items():
+        for type_name, view in purpose.uses:
+            try:
+                pd_type = system.dbfs.get_type(type_name)
+            except errors.RgpdOSError:
+                unknown_types.append(f"{name} uses {type_name}")
+                continue
+            if view is not None:
+                view_scoped += 1
+            elif purpose.basis == "consent" and pd_type.sensitive_fields:
+                whole_type_consent.append(f"{name} uses {type_name}")
+    stats = system.dbfs.stats
+    partial, full = stats.partial_decodes, stats.full_decodes
+    registry = system.telemetry.registry
+    registry.gauge("rgpdos.audit.partial_decodes").set(partial)
+    registry.gauge("rgpdos.audit.full_decodes").set(full)
+    evidence = [
+        Evidence(
+            kind="telemetry",
+            ref="metric:rgpdos.audit.partial_decodes",
+            summary="rows decoded partially (projected fields only)",
+            data=partial,
+        ),
+        Evidence(
+            kind="telemetry",
+            ref="metric:rgpdos.audit.full_decodes",
+            summary="rows fully decoded",
+            data=full,
+        ),
+    ]
+    for name, purpose in sorted(purposes.items()):
+        views = [f"{t} via {v}" if v else f"{t} (whole type)"
+                 for t, v in purpose.uses]
+        evidence.append(Evidence(
+            kind="purpose", ref=f"purpose:{name}",
+            summary="uses " + (", ".join(views) or "nothing"),
+            data=list(purpose.uses),
+        ))
+    if unknown_types:
+        return STATUS_FAIL, (
+            f"purposes using undeclared types: {unknown_types}"
+        ), evidence
+    if whole_type_consent:
+        return STATUS_WARN, (
+            f"consent-based purposes using whole sensitive types "
+            f"(no view scope): {whole_type_consent}"
+        ), evidence
+    return STATUS_PASS, (
+        f"{view_scoped} view-scoped purpose uses; decode path "
+        f"materialised {partial} partial vs {full} full rows"
+    ), evidence
+
+
+def _check_retention(system: "RgpdOS", membranes: Membranes) -> Verdict:
+    """Art. 5(1)(e): no live PD outlives its TTL.
+
+    The verdict rests on *proactive* enforcement: the expiry daemon's
+    sealed retention waves in the evidence trail prove the OS erased
+    overdue PD because its timers fired — not because a request
+    happened to touch an expired record and the DED refused it lazily.
+    A clean membrane scan with sealed waves behind it passes; a clean
+    scan with no enforcement history still passes but says so honestly
+    in the detail.
+    """
+    overdue = [
+        uid for uid, _ in overdue_membranes(membranes, system.clock.now())
+    ]
+    registry = system.telemetry.registry
+    registry.gauge("rgpdos.audit.ttl_overdue").set(len(overdue))
+    evidence = [
+        Evidence(
+            kind="telemetry",
+            ref="metric:rgpdos.audit.ttl_overdue",
+            summary="live membranes past their retention TTL",
+            data=len(overdue),
+        ),
+    ]
+    residue = registry.gauges.get("rgpdos.residue.device_blocks")
+    if residue is not None:
+        evidence.append(Evidence(
+            kind="telemetry",
+            ref="metric:rgpdos.residue.device_blocks",
+            summary="device residue blocks found by the last "
+                    "completed scrubber sweep",
+            data=residue.value,
+        ))
+    # Sealed erasure waves: the daemon's proof-of-work.  The trail is
+    # hash-chained, so each cited seq is tamper-evident.
+    waves = system.evidence.find(
+        lambda entry: entry["kind"] == "retention-wave"
+    )
+    waves_erased = sum(
+        int(entry["payload"].get("erased", 0)) for entry in waves
+    )
+    for entry in waves[-3:]:
+        evidence.append(Evidence(
+            kind="trail",
+            ref=f"trail:{entry['seq']}",
+            summary="sealed expiry-daemon erasure wave "
+                    f"({entry['payload'].get('erased', 0)} erased)",
+            data=entry["hash"],
+        ))
+    for uid in overdue[:5]:
+        evidence.append(Evidence(
+            kind="membrane", ref=f"membrane:{uid}",
+            summary="membrane past TTL", data=uid,
+        ))
+    if overdue:
+        return STATUS_FAIL, (
+            f"{len(overdue)} PD record(s) past TTL: {overdue[:5]}"
+        ), evidence
+    if waves:
+        return STATUS_PASS, (
+            "no live PD past its retention TTL; proactively enforced "
+            f"by the expiry daemon ({len(waves)} sealed wave(s), "
+            f"{waves_erased} PD erased)"
+        ), evidence
+    return STATUS_PASS, (
+        "no live PD past its retention TTL (no expiry-daemon "
+        "waves sealed yet — nothing has expired, or the daemon "
+        "is not running)"
+    ), evidence
+
+
+def _check_security(system: "RgpdOS", membranes: Membranes) -> Verdict:
+    """Art. 32 and paper rule 4, probed negatively: a non-DED
+    credential must be refused at every DBFS entry point."""
+    dbfs = system.dbfs
+    outsider = AccessCredential(holder="audit-probe", is_ded=False)
+    attempts: List[Callable[[], object]] = []
+    types = dbfs.list_types()
+    if types:
+        attempts.append(lambda: dbfs.query_membranes(
+            MembraneQuery(pd_type=types[0]), outsider))
+    if membranes:
+        uid = membranes[0][0]
+        attempts.append(lambda: dbfs.fetch_records(
+            DataQuery(uids=(uid,)), outsider))
+        attempts.append(lambda: dbfs.get_membrane(uid, outsider))
+    attempts.append(
+        lambda: dbfs.export_subject("audit-probe-subject", outsider))
+    refused = 0
+    for attempt in attempts:
+        try:
+            attempt()
+        except errors.PDLeakError:
+            refused += 1
+    detail = f"{refused}/{len(attempts)} outsider probes refused"
+    evidence = [Evidence(
+        kind="telemetry",
+        ref="metric:rgpdos.dbfs.denied_accesses",
+        summary="non-DED access attempts refused at the DBFS boundary "
+                f"(includes this audit's {len(attempts)} probes)",
+        data=dbfs.stats.denied_accesses,
+    )]
+    status = STATUS_PASS if refused == len(attempts) else STATUS_FAIL
+    return status, detail, evidence
+
+
+def _check_breach_notification(
+    system: "RgpdOS", membranes: Membranes
+) -> Verdict:
+    """Art. 33: notifiable breaches notified inside 72 hours."""
+    status_map = breach_status(
+        system.breach_monitor, system.clock.now(), system.telemetry.registry
+    )
+    evidence = [
+        Evidence(
+            kind="telemetry",
+            ref="metric:rgpdos.audit.breach_countdown_seconds",
+            summary="seconds left on the tightest pending "
+                    "Art. 33 notification deadline",
+            data=status_map["countdown_seconds"],
+        ),
+        Evidence(
+            kind="telemetry",
+            ref="metric:rgpdos.audit.breach_notifiable",
+            summary="notifiable breach reports on record",
+            data=status_map["notifiable"],
+        ),
+    ]
+    for index, report in enumerate(system.breach_monitor.reports):
+        if report.notifiable:
+            evidence.append(Evidence(
+                kind="breach", ref=f"breach:{index}",
+                summary=report.summary(),
+                data={"deadline": report.notification_deadline,
+                      "notified_at": report.notified_at},
+            ))
+    if status_map["overdue"]:
+        return STATUS_FAIL, (
+            f"{status_map['overdue']} notifiable breach report(s) "
+            f"past the {NOTIFICATION_DEADLINE_SECONDS / 3600:.0f}h "
+            f"deadline without notification"
+        ), evidence
+    if status_map["pending"]:
+        return STATUS_WARN, (
+            f"{status_map['pending']} notifiable breach(es) awaiting "
+            f"notification; {status_map['countdown_seconds']:.0f}s left"
+        ), evidence
+    return STATUS_PASS, (
+        f"{status_map['notifiable']} notifiable report(s), "
+        f"none pending past notification"
+    ), evidence
+
+
+def _check_records_of_processing(
+    system: "RgpdOS", membranes: Membranes
+) -> Verdict:
+    """Art. 30 and paper rules 1–2: the processing log is the record
+    of processing activities — complete per subject, every entry via
+    the PS."""
+    log = system.log
+    entries = log.entries()
+    rogue = [e.entry_id for e in entries if not e.via_ps]
+    uncovered = [
+        subject for subject in system.dbfs.list_subjects()
+        if not log.for_subject(subject)
+    ]
+    activity = log.activity_report()
+    system.telemetry.registry.gauge("rgpdos.audit.log_entries").set(
+        len(entries))
+    evidence = [
+        Evidence(
+            kind="telemetry",
+            ref="metric:rgpdos.audit.log_entries",
+            summary="processing-log entries (Art. 30 records)",
+            data=len(entries),
+        ),
+        Evidence(
+            kind="processing_log", ref="log:activity",
+            summary="aggregate record of processing activities",
+            data=activity,
+        ),
+    ]
+    if entries:
+        evidence.append(Evidence(
+            kind="processing_log",
+            ref=f"log:entry:{entries[-1].entry_id}",
+            summary="latest logged processing",
+            data=entries[-1].processing,
+        ))
+    if rogue:
+        return STATUS_FAIL, (
+            f"{len(rogue)} log entries bypassed the PS: {rogue[:5]}"
+        ), evidence
+    if uncovered:
+        return STATUS_FAIL, (
+            f"subjects holding PD with no logged processing "
+            f"(collection unrecorded): {uncovered[:5]}"
+        ), evidence
+    if not entries:
+        return STATUS_WARN, "no processing logged yet (empty system?)", \
+            evidence
+    return STATUS_PASS, (
+        f"{len(entries)} entries, all via the PS, covering "
+        f"{activity['subjects_touched']} subject(s)"
+    ), evidence
+
+
+def _check_membrane_presence(
+    system: "RgpdOS", membranes: Membranes
+) -> Verdict:
+    """Paper rule 3: every PD stored in DBFS has a membrane (enforced
+    on store; checked anyway)."""
+    bare = [uid for uid, membrane in membranes if membrane is None]
+    evidence = [_records_evidence(membranes, "stored PD records read")]
+    if bare:
+        return STATUS_FAIL, f"{len(bare)} bare records: {bare[:5]}", evidence
+    return STATUS_PASS, f"all {len(membranes)} records wrapped", evidence
+
+
+def _check_membrane_wellformed(
+    system: "RgpdOS", membranes: Membranes
+) -> Verdict:
+    """Membranes must name a subject and use declared consent scopes."""
+    bad: List[str] = []
+    for uid, membrane in membranes:
+        if not membrane.subject_id:
+            bad.append(f"{uid}: no subject")
+            continue
+        pd_type = system.dbfs.get_type(membrane.pd_type)
+        for decision in membrane.consents.values():
+            try:
+                pd_type.scope_fields(decision.scope)
+            except errors.ViewError:
+                bad.append(f"{uid}: bad scope {decision.scope!r}")
+    evidence = [_records_evidence(membranes, "membranes checked")]
+    if bad:
+        return STATUS_FAIL, "; ".join(bad[:5]), evidence
+    return STATUS_PASS, f"all {len(membranes)} membranes wellformed", \
+        evidence
+
+
+def _check_copy_consistency(
+    system: "RgpdOS", membranes: Membranes
+) -> Verdict:
+    """All live copies in a lineage group share one consent state."""
+    groups: Dict[str, List[Dict[str, str]]] = {}
+    for _uid, membrane in membranes:
+        if membrane.lineage and not membrane.erased:
+            groups.setdefault(membrane.lineage, []).append({
+                purpose: decision.scope
+                for purpose, decision in membrane.consents.items()
+            })
+    divergent = [
+        lineage for lineage, snapshots in groups.items()
+        if any(s != snapshots[0] for s in snapshots[1:])
+    ]
+    evidence = [_records_evidence(membranes, "membranes compared")]
+    if divergent:
+        return STATUS_FAIL, f"divergent lineage groups: {divergent[:3]}", \
+            evidence
+    return STATUS_PASS, f"{len(groups)} lineage groups consistent", evidence
+
+
+def _check_sensitive_separation(
+    system: "RgpdOS", membranes: Membranes
+) -> Verdict:
+    """Sensitive fields must live in a separate inode."""
+    dbfs = system.dbfs
+    mixed: List[str] = []
+    for uid, membrane in membranes:
+        if membrane.erased:
+            continue
+        sensitive = dbfs.get_type(membrane.pd_type).sensitive_fields
+        if not sensitive:
+            continue
+        record = dbfs._load_record_raw(uid)
+        if (any(name in record for name in sensitive)
+                and "sensitive_inode" not in dbfs.record_inode(uid).attrs):
+            mixed.append(uid)
+    evidence = [_records_evidence(membranes, "records inspected")]
+    if mixed:
+        return STATUS_FAIL, (
+            f"{len(mixed)} records mix sensitivity levels"
+        ), evidence
+    return STATUS_PASS, "sensitive fields stored separately", evidence
+
+
+def _check_erased_unreadable(
+    system: "RgpdOS", membranes: Membranes
+) -> Verdict:
+    """Erased PD must not be fetchable through any DBFS path."""
+    erased = [uid for uid, membrane in membranes if membrane.erased]
+    leaks: List[str] = []
+    for uid in erased:
+        try:
+            system.dbfs.fetch_records(DataQuery(uids=(uid,)), _AUDIT_DED)
+            leaks.append(uid)
+        except errors.ExpiredPDError:
+            pass
+    system.telemetry.registry.gauge("rgpdos.audit.erased_records").set(
+        len(erased))
+    evidence = [Evidence(
+        kind="telemetry", ref="metric:rgpdos.audit.erased_records",
+        summary="erased records whose fetch was attempted",
+        data=len(erased),
+    )]
+    if leaks:
+        return STATUS_FAIL, (
+            f"{len(leaks)} erased records still readable"
+        ), evidence
+    return STATUS_PASS, (
+        f"{len(erased)} erased record(s), none readable"
+    ), evidence
+
+
+#: The control table: ``(control_id, article, title, check)`` rows.
+CONTROLS: Tuple[
+    Tuple[str, str, str, Callable[["RgpdOS", Membranes], Verdict]], ...
+] = (
+    ("art6-lawful-basis", "Art. 6",
+     "Lawful basis declared for every purpose", _check_lawful_basis),
+    ("art5c-minimisation", "Art. 5(1)(c)",
+     "Data minimisation via view-scoped purposes", _check_minimisation),
+    ("art5e-retention", "Art. 5(1)(e)",
+     "Storage limitation (TTL retention)", _check_retention),
+    ("art32-security", "Art. 32",
+     "Security of processing (DED-only mediation)", _check_security),
+    ("art33-breach", "Art. 33",
+     "Breach notification within 72 hours", _check_breach_notification),
+    ("art30-records", "Art. 30",
+     "Records of processing activities (§ 4 log)",
+     _check_records_of_processing),
+    ("art25-membrane-presence", "Art. 25",
+     "Every stored PD carries a membrane", _check_membrane_presence),
+    ("art7-membrane-wellformed", "Art. 7",
+     "Membranes name a subject and declared consent scopes",
+     _check_membrane_wellformed),
+    ("art7-copy-consistency", "Art. 7(3)",
+     "Consent withdrawal reaches every copy", _check_copy_consistency),
+    ("art9-sensitive-separation", "Art. 9",
+     "Sensitive fields stored separately", _check_sensitive_separation),
+    ("art17-erased-unreadable", "Art. 17",
+     "Erased PD unreadable through DBFS", _check_erased_unreadable),
+)
+
+
 class AuditEngine:
-    """Evaluates the control map against a live system.
+    """Evaluates :data:`CONTROLS` against a live system.
 
     Construct once per :class:`RgpdOS` (the system does this itself as
-    ``system.audit_engine``); each :meth:`run` produces a fresh
-    :class:`AuditReport`, refreshes the ``rgpdos.audit.*`` gauges, and
-    seals a summary entry into the system's evidence trail.
+    ``system.audit_engine``; ``system.audit()`` runs it); each
+    :meth:`run` produces a fresh :class:`AuditReport`, refreshes the
+    ``rgpdos.audit.*`` gauges, and seals a summary entry into the
+    system's evidence trail.
     """
 
     def __init__(self, system: "RgpdOS") -> None:
         self.system = system
-        self._ded = AccessCredential(holder="audit-engine", is_ded=True)
         self.last_report: Optional[AuditReport] = None
 
-    # -- the control map --------------------------------------------------
-
-    def control_map(self) -> List[Callable[[], ControlResult]]:
-        return [
-            self._control_lawful_basis,
-            self._control_minimisation,
-            self._control_retention,
-            self._control_security,
-            self._control_breach_notification,
-            self._control_records_of_processing,
-        ]
-
     def run(self) -> AuditReport:
-        """Run every control; never raises — crashes become failures."""
+        """Run every control on one membrane read; a check that crashes
+        becomes a failed control instead of raising."""
         system = self.system
-        self._publish_observables()
         report = AuditReport(
             at=system.clock.now(), operator=system.operator_name
         )
-        for control in self.control_map():
+        membranes = system.dbfs.iter_membranes(_AUDIT_DED)
+        for control_id, article, title, check in CONTROLS:
             try:
-                report.controls.append(control())
+                status, detail, evidence = check(system, membranes)
             except errors.RgpdOSError as exc:
-                report.controls.append(ControlResult(
-                    control_id=control.__name__.replace("_control_", "art-"),
-                    article="-",
-                    title=control.__name__,
-                    status=STATUS_FAIL,
-                    detail=f"control crashed: {exc}",
-                ))
-        report.controls.extend(self._folded_auditor_controls())
+                status, detail, evidence = (
+                    STATUS_FAIL, f"check crashed: {exc}", []
+                )
+            report.controls.append(ControlResult(
+                control_id=control_id, article=article, title=title,
+                status=status, detail=detail, evidence=evidence,
+            ))
         self._publish_verdicts(report)
         trail_entry = system.evidence.append(
             kind="audit",
@@ -251,28 +727,6 @@ class AuditEngine:
         self.last_report = report
         return report
 
-    # -- observable gauges -------------------------------------------------
-
-    def _publish_observables(self) -> None:
-        """Refresh the ``rgpdos.audit.*`` gauges the controls cite.
-
-        Publishing *before* evidence is gathered means every
-        ``metric:`` ref in the report resolves against the registry at
-        the values the verdicts were computed from.
-        """
-        system = self.system
-        registry = system.telemetry.registry
-        now = system.clock.now()
-        overdue = self._ttl_overdue()
-        registry.gauge("rgpdos.audit.ttl_overdue").set(len(overdue))
-        registry.gauge("rgpdos.audit.log_entries").set(len(system.log))
-        status = self._breach_status(now)
-        registry.gauge("rgpdos.audit.breach_notifiable").set(
-            status["notifiable"])
-        registry.gauge("rgpdos.audit.breach_overdue").set(status["overdue"])
-        registry.gauge("rgpdos.audit.breach_countdown_seconds").set(
-            status["countdown_seconds"])
-
     def _publish_verdicts(self, report: AuditReport) -> None:
         registry = self.system.telemetry.registry
         counts = report.counts()
@@ -280,414 +734,6 @@ class AuditEngine:
         registry.gauge("rgpdos.audit.controls_pass").set(counts[STATUS_PASS])
         registry.gauge("rgpdos.audit.controls_warn").set(counts[STATUS_WARN])
         registry.gauge("rgpdos.audit.controls_fail").set(counts[STATUS_FAIL])
-
-    # -- shared observations ----------------------------------------------
-
-    def _membranes(self):
-        return self.system.dbfs.iter_membranes(self._ded)
-
-    def _ttl_overdue(self) -> List[str]:
-        """Live membranes past their TTL, on the canonical inclusive
-        boundary (:meth:`Membrane.is_expired`): a PD exactly at its
-        deadline is already overdue here, exactly as the DED already
-        refuses to serve it and the expiry daemon already erases it."""
-        now = self.system.clock.now()
-        return [
-            uid
-            for uid, membrane in self._membranes()
-            if not membrane.erased and membrane.is_expired(now)
-        ]
-
-    def _breach_status(self, now: float) -> Dict[str, float]:
-        monitor = self.system.breach_monitor
-        pending = monitor.pending_notifications()
-        overdue = [r for r in pending if r.notification_deadline < now]
-        countdown = min(
-            (r.notification_deadline - now for r in pending
-             if r.notification_deadline >= now),
-            default=0.0,
-        )
-        return {
-            "notifiable": len(monitor.notifiable_reports()),
-            "pending": len(pending),
-            "overdue": len(overdue),
-            "countdown_seconds": countdown,
-        }
-
-    # -- controls ----------------------------------------------------------
-
-    def _control_lawful_basis(self) -> ControlResult:
-        """Art. 6: every purpose names a lawful basis; consent-based
-        purposes that processed PD are actually granted somewhere."""
-        system = self.system
-        purposes = dict(system.ps._purposes)
-        bad_basis = [
-            name for name, p in purposes.items()
-            if p.basis not in LAWFUL_BASES
-        ]
-        granted: Dict[str, int] = {name: 0 for name in purposes}
-        for _uid, membrane in self._membranes():
-            if membrane.erased:
-                continue
-            for purpose, decision in membrane.consents.items():
-                if purpose in granted and decision.scope != "none":
-                    granted[purpose] += 1
-        ungrounded = [
-            name for name, p in purposes.items()
-            if p.basis == "consent"
-            and granted.get(name, 0) == 0
-            and any(e.outcome == "completed"
-                    for e in system.log.for_purpose(name))
-        ]
-        evidence = [
-            Evidence(
-                kind="telemetry",
-                ref="metric:rgpdos.dbfs.subjects",
-                summary="subjects whose membranes were inspected",
-                data=len(system.dbfs.list_subjects()),
-            )
-        ]
-        for name, purpose in sorted(purposes.items()):
-            evidence.append(Evidence(
-                kind="purpose",
-                ref=f"purpose:{name}",
-                summary=(f"basis={purpose.basis}, "
-                         f"granted by {granted.get(name, 0)} membrane(s)"),
-                data={"basis": purpose.basis,
-                      "granted_membranes": granted.get(name, 0)},
-            ))
-            entries = system.log.for_purpose(name)
-            if entries:
-                evidence.append(Evidence(
-                    kind="processing_log",
-                    ref=f"log:entry:{entries[0].entry_id}",
-                    summary=f"first logged processing under {name!r}",
-                    data=entries[0].outcome,
-                ))
-        if bad_basis:
-            status, detail = STATUS_FAIL, (
-                f"purposes with unknown lawful basis: {bad_basis}"
-            )
-        elif ungrounded:
-            status, detail = STATUS_WARN, (
-                f"consent-based purposes processed PD but no live membrane "
-                f"grants them (consent may have been withdrawn since): "
-                f"{ungrounded}"
-            )
-        else:
-            status, detail = STATUS_PASS, (
-                f"all {len(purposes)} purposes carry a lawful basis "
-                f"({sorted(LAWFUL_BASES)})"
-            )
-        return ControlResult(
-            control_id="art6-lawful-basis", article="Art. 6",
-            title="Lawful basis declared for every purpose",
-            status=status, detail=detail, evidence=evidence,
-        )
-
-    def _control_minimisation(self) -> ControlResult:
-        """Art. 5(1)(c): purposes scoped to views; decode counters show
-        the store materialises only projected fields."""
-        system = self.system
-        purposes = dict(system.ps._purposes)
-        unknown_types: List[str] = []
-        whole_type_consent: List[str] = []
-        view_scoped = 0
-        for name, purpose in purposes.items():
-            for type_name, view in purpose.uses:
-                try:
-                    pd_type = system.dbfs.get_type(type_name)
-                except errors.RgpdOSError:
-                    unknown_types.append(f"{name} uses {type_name}")
-                    continue
-                if view is not None:
-                    view_scoped += 1
-                elif purpose.basis == "consent" and pd_type.sensitive_fields:
-                    whole_type_consent.append(f"{name} uses {type_name}")
-        stats = system.dbfs.stats
-        registry = system.telemetry.registry
-        registry.gauge("rgpdos.audit.partial_decodes").set(
-            stats.partial_decodes)
-        registry.gauge("rgpdos.audit.full_decodes").set(stats.full_decodes)
-        evidence = [
-            Evidence(
-                kind="telemetry",
-                ref="metric:rgpdos.audit.partial_decodes",
-                summary="rows decoded partially (projected fields only)",
-                data=stats.partial_decodes,
-            ),
-            Evidence(
-                kind="telemetry",
-                ref="metric:rgpdos.audit.full_decodes",
-                summary="rows fully decoded",
-                data=stats.full_decodes,
-            ),
-        ]
-        for name, purpose in sorted(purposes.items()):
-            views = [f"{t} via {v}" if v else f"{t} (whole type)"
-                     for t, v in purpose.uses]
-            evidence.append(Evidence(
-                kind="purpose", ref=f"purpose:{name}",
-                summary="uses " + (", ".join(views) or "nothing"),
-                data=list(purpose.uses),
-            ))
-        if unknown_types:
-            status, detail = STATUS_FAIL, (
-                f"purposes using undeclared types: {unknown_types}"
-            )
-        elif whole_type_consent:
-            status, detail = STATUS_WARN, (
-                f"consent-based purposes using whole sensitive types "
-                f"(no view scope): {whole_type_consent}"
-            )
-        else:
-            status, detail = STATUS_PASS, (
-                f"{view_scoped} view-scoped purpose uses; decode path "
-                f"materialised {stats.partial_decodes} partial vs "
-                f"{stats.full_decodes} full rows"
-            )
-        return ControlResult(
-            control_id="art5c-minimisation", article="Art. 5(1)(c)",
-            title="Data minimisation via view-scoped purposes",
-            status=status, detail=detail, evidence=evidence,
-        )
-
-    def _control_retention(self) -> ControlResult:
-        """Art. 5(1)(e): no live PD outlives its TTL.
-
-        The verdict rests on *proactive* enforcement: the expiry
-        daemon's sealed retention waves in the evidence trail prove the
-        OS erased overdue PD because its timers fired — not because a
-        request happened to touch an expired record and the DED refused
-        it lazily.  A clean membrane scan with sealed waves behind it
-        passes; a clean scan with no enforcement history still passes
-        but says so honestly in the detail.
-        """
-        overdue = self._ttl_overdue()
-        evidence = [
-            Evidence(
-                kind="telemetry",
-                ref="metric:rgpdos.audit.ttl_overdue",
-                summary="live membranes past their retention TTL",
-                data=len(overdue),
-            ),
-        ]
-        registry = self.system.telemetry.registry
-        residue = registry.gauges.get("rgpdos.residue.device_blocks")
-        if residue is not None:
-            evidence.append(Evidence(
-                kind="telemetry",
-                ref="metric:rgpdos.residue.device_blocks",
-                summary="device residue blocks found by the last "
-                        "completed scrubber sweep",
-                data=residue.value,
-            ))
-        # Sealed erasure waves: the daemon's proof-of-work.  The trail
-        # is hash-chained, so each cited seq is tamper-evident.
-        waves = self.system.evidence.find(
-            lambda entry: entry["kind"] == "retention-wave"
-        )
-        waves_erased = sum(
-            int(entry["payload"].get("erased", 0)) for entry in waves
-        )
-        for entry in waves[-3:]:
-            evidence.append(Evidence(
-                kind="trail",
-                ref=f"trail:{entry['seq']}",
-                summary="sealed expiry-daemon erasure wave "
-                        f"({entry['payload'].get('erased', 0)} erased)",
-                data=entry["hash"],
-            ))
-        for uid in overdue[:5]:
-            evidence.append(Evidence(
-                kind="membrane", ref=f"membrane:{uid}",
-                summary="membrane past TTL", data=uid,
-            ))
-        if overdue:
-            status = STATUS_FAIL
-            detail = f"{len(overdue)} PD record(s) past TTL: {overdue[:5]}"
-        elif waves:
-            status = STATUS_PASS
-            detail = (
-                "no live PD past its retention TTL; proactively enforced "
-                f"by the expiry daemon ({len(waves)} sealed wave(s), "
-                f"{waves_erased} PD erased)"
-            )
-        else:
-            status = STATUS_PASS
-            detail = (
-                "no live PD past its retention TTL (no expiry-daemon "
-                "waves sealed yet — nothing has expired, or the daemon "
-                "is not running)"
-            )
-        return ControlResult(
-            control_id="art5e-retention", article="Art. 5(1)(e)",
-            title="Storage limitation (TTL retention)",
-            status=status, detail=detail, evidence=evidence,
-        )
-
-    def _control_security(self) -> ControlResult:
-        """Art. 32: outsider probes refused (reuses the auditor's
-        negative probe rather than trusting the refusal code)."""
-        system = self.system
-        finding = system.auditor._check_dbfs_ded_only()
-        denied = system.dbfs.stats.denied_accesses
-        evidence = [
-            Evidence(
-                kind="telemetry",
-                ref="metric:rgpdos.dbfs.denied_accesses",
-                summary="non-DED access attempts refused at the DBFS "
-                        "boundary (includes this audit's probes)",
-                data=denied,
-            ),
-            Evidence(
-                kind="auditor", ref="metric:rgpdos.dbfs.records",
-                summary=f"probe outcome: {finding.detail}",
-                data=finding.ok,
-            ),
-        ]
-        return ControlResult(
-            control_id="art32-security", article="Art. 32",
-            title="Security of processing (DED-only mediation)",
-            status=STATUS_PASS if finding.ok else STATUS_FAIL,
-            detail=finding.detail, evidence=evidence,
-        )
-
-    def _control_breach_notification(self) -> ControlResult:
-        """Art. 33: notifiable breaches notified inside 72 hours."""
-        system = self.system
-        now = system.clock.now()
-        status_map = self._breach_status(now)
-        monitor = system.breach_monitor
-        evidence = [
-            Evidence(
-                kind="telemetry",
-                ref="metric:rgpdos.audit.breach_countdown_seconds",
-                summary="seconds left on the tightest pending "
-                        "Art. 33 notification deadline",
-                data=status_map["countdown_seconds"],
-            ),
-            Evidence(
-                kind="telemetry",
-                ref="metric:rgpdos.audit.breach_notifiable",
-                summary="notifiable breach reports on record",
-                data=status_map["notifiable"],
-            ),
-        ]
-        for index, report in enumerate(monitor.reports):
-            if report.notifiable:
-                evidence.append(Evidence(
-                    kind="breach", ref=f"breach:{index}",
-                    summary=report.summary(),
-                    data={"deadline": report.notification_deadline,
-                          "notified_at": report.notified_at},
-                ))
-        if status_map["overdue"]:
-            status = STATUS_FAIL
-            detail = (
-                f"{status_map['overdue']} notifiable breach report(s) "
-                f"past the {NOTIFICATION_DEADLINE_SECONDS / 3600:.0f}h "
-                f"deadline without notification"
-            )
-        elif status_map["pending"]:
-            status = STATUS_WARN
-            detail = (
-                f"{status_map['pending']} notifiable breach(es) awaiting "
-                f"notification; {status_map['countdown_seconds']:.0f}s left"
-            )
-        else:
-            status = STATUS_PASS
-            detail = (
-                f"{status_map['notifiable']} notifiable report(s), "
-                f"none pending past notification"
-            )
-        return ControlResult(
-            control_id="art33-breach", article="Art. 33",
-            title="Breach notification within 72 hours",
-            status=status, detail=detail, evidence=evidence,
-        )
-
-    def _control_records_of_processing(self) -> ControlResult:
-        """Art. 30: the processing log is the record of processing
-        activities — complete per subject, all entries via the PS."""
-        system = self.system
-        rogue = [e.entry_id for e in system.log.entries() if not e.via_ps]
-        uncovered = [
-            subject for subject in system.dbfs.list_subjects()
-            if not system.log.for_subject(subject)
-        ]
-        activity = system.log.activity_report()
-        evidence = [
-            Evidence(
-                kind="telemetry",
-                ref="metric:rgpdos.audit.log_entries",
-                summary="processing-log entries (Art. 30 records)",
-                data=len(system.log),
-            ),
-            Evidence(
-                kind="processing_log", ref="log:activity",
-                summary="aggregate record of processing activities",
-                data=activity,
-            ),
-        ]
-        entries = system.log.entries()
-        if entries:
-            evidence.append(Evidence(
-                kind="processing_log",
-                ref=f"log:entry:{entries[-1].entry_id}",
-                summary="latest logged processing",
-                data=entries[-1].processing,
-            ))
-        if rogue:
-            status = STATUS_FAIL
-            detail = f"{len(rogue)} log entries bypassed the PS: {rogue[:5]}"
-        elif uncovered:
-            status = STATUS_FAIL
-            detail = (
-                f"subjects holding PD with no logged processing "
-                f"(collection unrecorded): {uncovered[:5]}"
-            )
-        elif not entries:
-            status = STATUS_WARN
-            detail = "no processing logged yet (empty system?)"
-        else:
-            status = STATUS_PASS
-            detail = (
-                f"{len(entries)} entries, all via the PS, covering "
-                f"{activity['subjects_touched']} subject(s)"
-            )
-        return ControlResult(
-            control_id="art30-records", article="Art. 30",
-            title="Records of processing activities (§ 4 log)",
-            status=status, detail=detail, evidence=evidence,
-        )
-
-    # -- folding the legacy auditor ---------------------------------------
-
-    def _folded_auditor_controls(self) -> List[ControlResult]:
-        """Every :class:`ComplianceAuditor` rule as a control result.
-
-        The technical-rule probes keep living in ``core.compliance``;
-        the audit engine lifts their findings into the article-indexed
-        report with a registry-resolvable metric reference attached.
-        """
-        results: List[ControlResult] = []
-        for finding in self.system.auditor.audit().findings:
-            metric = _FOLDED_RULE_METRICS.get(
-                finding.rule, _FOLDED_DEFAULT_METRIC
-            )
-            results.append(ControlResult(
-                control_id=f"rule-{finding.rule}",
-                article=finding.article,
-                title=f"Technical rule: {finding.rule}",
-                status=STATUS_PASS if finding.ok else STATUS_FAIL,
-                detail=finding.detail,
-                evidence=[Evidence(
-                    kind="auditor", ref=f"metric:{metric}",
-                    summary=finding.detail, data=finding.ok,
-                )],
-            ))
-        return results
 
 
 def resolve_evidence(system: "RgpdOS", ref: str) -> object:
@@ -736,11 +782,6 @@ def resolve_evidence(system: "RgpdOS", ref: str) -> object:
             return {"at": report.at, "notifiable": report.notifiable,
                     "deadline": report.notification_deadline,
                     "notified_at": report.notified_at}
-        if kind == "journal":
-            _, _, index = locator.partition(":")
-            shard = system.dbfs.shards[int(index)]
-            return {"live_records": len(shard.journal),
-                    "blocks_in_use": shard.journal.blocks_in_use}
         if kind == "trail":
             return system.evidence.entries()[int(locator)]
     except (KeyError, IndexError, ValueError, errors.RgpdOSError) as exc:

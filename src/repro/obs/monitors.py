@@ -40,6 +40,7 @@ from typing import (
 
 from .. import errors
 from ..core.active_data import AccessCredential, PDRef
+from ..core.membrane import overdue_membranes
 from ..kernel.timerwheel import TimerWheel
 from .evidence import EvidenceTrail
 
@@ -206,6 +207,33 @@ class ResidueScrubberMonitor(Monitor):
         return payload if significant else None
 
 
+def breach_status(breach_monitor, now: float, registry) -> Dict[str, float]:
+    """Art. 33 deadline status, published as ``rgpdos.audit.breach_*``.
+
+    The one computation behind both the breach-deadline watcher and
+    the audit's Art. 33 control: notifiable reports, those still
+    pending notification, those past the 72-hour window, and the
+    seconds left on the tightest open deadline (0 when none is open).
+    """
+    pending = breach_monitor.pending_notifications()
+    status = {
+        "notifiable": len(breach_monitor.notifiable_reports()),
+        "pending": len(pending),
+        "overdue": len(breach_monitor.overdue_notifications(now)),
+        "countdown_seconds": min(
+            (r.notification_deadline - now for r in pending
+             if r.notification_deadline >= now),
+            default=0.0,
+        ),
+    }
+    registry.gauge("rgpdos.audit.breach_notifiable").set(
+        status["notifiable"])
+    registry.gauge("rgpdos.audit.breach_overdue").set(status["overdue"])
+    registry.gauge("rgpdos.audit.breach_countdown_seconds").set(
+        status["countdown_seconds"])
+    return status
+
+
 class TTLWatcherMonitor(Monitor):
     """Counts live membranes past their retention TTL (Art. 5(1)(e))."""
 
@@ -219,14 +247,9 @@ class TTLWatcherMonitor(Monitor):
         self._last_overdue = -1
 
     def tick(self, now: float) -> Optional[Mapping[str, object]]:
-        # Canonical boundary (Membrane.is_expired): a membrane exactly
-        # at its deadline is overdue here at the same instant the DED
-        # stops serving it.  The watcher must never use a strict `>`
-        # of its own.
         overdue = [
-            uid
-            for uid, membrane in self.dbfs.iter_membranes(self._ded)
-            if not membrane.erased and membrane.is_expired(now)
+            uid for uid, _ in
+            overdue_membranes(self.dbfs.iter_membranes(self._ded), now)
         ]
         self.telemetry.registry.gauge("rgpdos.audit.ttl_overdue").set(
             len(overdue))
@@ -250,32 +273,16 @@ class BreachDeadlineWatcherMonitor(Monitor):
 
     def tick(self, now: float) -> Optional[Mapping[str, object]]:
         scan = self.breach_monitor.scan()
-        pending = self.breach_monitor.pending_notifications()
-        overdue = [
-            r for r in pending if r.notification_deadline < now
-        ]
-        countdown = min(
-            (r.notification_deadline - now for r in pending
-             if r.notification_deadline >= now),
-            default=0.0,
+        status = breach_status(
+            self.breach_monitor, now, self.telemetry.registry
         )
-        registry = self.telemetry.registry
-        registry.gauge("rgpdos.audit.breach_notifiable").set(
-            len(self.breach_monitor.notifiable_reports()))
-        registry.gauge("rgpdos.audit.breach_overdue").set(len(overdue))
-        registry.gauge("rgpdos.audit.breach_countdown_seconds").set(
-            countdown)
-        state = (len(self.breach_monitor.notifiable_reports()),
-                 len(pending), len(overdue))
+        state = (status["notifiable"], status["pending"], status["overdue"])
         changed = state != self._last or bool(scan.indicators)
         self._last = state
         if not changed:
             return None
         return {
-            "notifiable": state[0],
-            "pending": state[1],
-            "overdue": state[2],
-            "countdown_seconds": countdown,
+            **status,
             "new_indicators": [
                 {"source": i.source, "count": i.count,
                  "severity": i.severity}

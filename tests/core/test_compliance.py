@@ -1,4 +1,4 @@
-"""Unit tests for the compliance auditor."""
+"""Unit tests for the compliance audit (``RgpdOS.audit``)."""
 
 import pytest
 
@@ -42,7 +42,7 @@ class TestViolationDetection:
         report = system.audit()
         assert not report.ok
         (failure,) = report.failures()
-        assert failure.rule == "ttl-respected"
+        assert failure.control_id == "art5e-retention"
 
     def test_ttl_sweep_restores_compliance(self, populated):
         system, _, _ = populated
@@ -60,8 +60,8 @@ class TestViolationDetection:
         membrane.grant("purpose2", SCOPE_ALL, at=1.0)
         system.dbfs.put_membrane(copy_ref.uid, membrane, builtins.credential)
         report = system.audit()
-        failures = [f.rule for f in report.failures()]
-        assert "copy-membrane-consistency" in failures
+        failures = [c.control_id for c in report.failures()]
+        assert failures == ["art7-copy-consistency"]
 
     def test_rogue_log_entry_detected(self, populated):
         system, _, _ = populated
@@ -70,13 +70,15 @@ class TestViolationDetection:
             outcome="completed", via_ps=False,
         )
         report = system.audit()
-        failures = [f.rule for f in report.failures()]
-        assert "all-processing-via-ps" in failures
+        failures = [c.control_id for c in report.failures()]
+        assert failures == ["art30-records"]
 
     def test_outsider_probes_always_run(self, system):
         report = system.audit()
-        finding = next(
-            f for f in report.findings if f.rule == "dbfs-ded-only"
+        control = next(
+            c for c in report.controls if c.control_id == "art32-security"
         )
-        assert finding.ok
-        assert "refused" in finding.detail
+        assert control.status == "pass"
+        assert control.detail == "2/2 outsider probes refused"
+        (evidence,) = control.evidence
+        assert evidence.data == system.dbfs.stats.denied_accesses == 2

@@ -5,9 +5,9 @@ One canonical rule — ``Membrane.is_expired`` uses an inclusive
 system must agree with it *at the exact deadline instant*:
 
 * the membrane predicates themselves,
-* the TTL watcher monitor,
-* the article-indexed audit engine's overdue scan,
-* the compliance auditor's grace-shifted check,
+* the shared overdue scan (``overdue_membranes``) and its three
+  callers: the TTL watcher monitor, the audit's Art. 5(1)(e) control
+  and the rights TTL sweep (``SubjectRights.expire_overdue``),
 * transfer export (refuses overdue PD) and import (skips a package
   whose TTL ran out in transit, instead of crashing on a zero TTL).
 
@@ -23,12 +23,23 @@ import time
 
 import pytest
 
-from repro.core.compliance import ComplianceAuditor
-from repro.core.membrane import Membrane
+from repro.core.membrane import Membrane, overdue_membranes
 from repro.core.transfer import export_package, import_package
 from repro.obs.monitors import ExpiryDaemon, TTLWatcherMonitor
 
 YEAR = 365 * 86400.0
+
+
+def overdue_uids(system):
+    credential = system.ps.builtins.credential
+    return [uid for uid, _ in overdue_membranes(
+        system.dbfs.iter_membranes(credential), system.clock.now())]
+
+
+def retention_status(system):
+    (control,) = [c for c in system.audit().controls
+                  if c.control_id == "art5e-retention"]
+    return control.status
 
 
 def make_membrane(created_at=1000.0, ttl=500.0):
@@ -79,41 +90,18 @@ class TestTTLWatcherBoundary:
 
 class TestAuditEngineBoundary:
     def test_ttl_overdue_at_exact_deadline(self, populated):
-        system, _, _ = populated
+        """The shared scan, the audit's retention control and the rights
+        TTL sweep all flip exactly at the deadline."""
+        system, alice, bob = populated
         system.advance_time(YEAR - 1.0)
-        assert system.audit_engine._ttl_overdue() == []
+        assert overdue_uids(system) == []
+        assert retention_status(system) == "pass"
+        assert system.rights.expire_overdue() == []
         system.advance_time(1.0)
-        assert len(system.audit_engine._ttl_overdue()) == 2
-
-
-class TestComplianceGraceBoundary:
-    def ttl_finding(self, auditor):
-        report = auditor.audit()
-        (finding,) = [f for f in report.findings if f.rule == "ttl-respected"]
-        return finding
-
-    def test_zero_grace_matches_canonical_boundary(self, populated):
-        system, _, _ = populated
-        system.advance_time(YEAR)
-        assert not self.ttl_finding(system.auditor).ok
-
-    def test_grace_window_shifts_not_redefines(self, populated):
-        """With grace g, the check flips at deadline + g — still on the
-        inclusive boundary, just translated."""
-        system, _, _ = populated
-        lenient = ComplianceAuditor(
-            system.dbfs,
-            system.ps.builtins,
-            system.log,
-            system.clock,
-            ttl_grace_seconds=3600.0,
-        )
-        system.advance_time(YEAR)  # exactly at deadline: inside grace
-        assert self.ttl_finding(lenient).ok
-        system.advance_time(3599.0)
-        assert self.ttl_finding(lenient).ok
-        system.advance_time(1.0)  # deadline + grace, inclusive
-        assert not self.ttl_finding(lenient).ok
+        assert overdue_uids(system) == sorted([alice.uid, bob.uid])
+        assert retention_status(system) == "fail"
+        assert system.rights.expire_overdue() == sorted([alice.uid, bob.uid])
+        assert retention_status(system) == "pass"
 
 
 class TestTransferBoundary:
@@ -164,10 +152,11 @@ class TestFrozenClock:
         )
         first = watcher.tick(system.clock.now())
         assert first["overdue"] == 0
-        before = system.audit_engine._ttl_overdue()
+        before = overdue_uids(system)
         for _ in range(5):  # clock frozen: nothing may flip
             assert watcher.tick(system.clock.now()) is None  # unchanged
-            assert system.audit_engine._ttl_overdue() == before
+            assert overdue_uids(system) == before
+            assert retention_status(system) == "pass"
 
     def test_daemon_idle_while_paused(self, populated):
         system, _, _ = populated
@@ -205,4 +194,5 @@ class TestFrozenClock:
             system.dbfs, system.clock, system.telemetry
         )
         assert watcher.tick(system.clock.now())["overdue"] == 2
-        assert len(system.audit_engine._ttl_overdue()) == 2
+        assert len(overdue_uids(system)) == 2
+        assert retention_status(system) == "fail"

@@ -136,6 +136,19 @@ class TestMembraneRebuild:
         self.imported_membrane(source, destination)
         assert destination.audit().ok
 
+    def test_import_logs_subject_for_art30(self, source, destination):
+        """Each imported record is logged as produced for its subject,
+        so the destination's Art. 30 record covers the new subject."""
+        (ref,) = import_package(
+            destination, export_package(source[0], "alice")
+        ).imported
+        (entry,) = destination.log.for_subject("alice")
+        assert entry.processing == "transfer:import"
+        assert [(a.uid, a.subject_id, a.mode) for a in entry.accesses] == \
+            [(ref.uid, "alice", "produced")]
+        by_id = {c.control_id: c for c in destination.audit().controls}
+        assert by_id["art30-records"].status == "pass"
+
     def test_imported_pd_fully_functional(self, source, destination):
         """The imported record works with the destination's rights."""
         system, _, _ = source

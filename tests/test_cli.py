@@ -50,7 +50,7 @@ class TestCommands:
         assert "COMPLIANT" in out
         assert "[PASS]" in out
         assert "art30-records" in out
-        assert "rule-erased-pd-unreadable" in out
+        assert "art17-erased-unreadable" in out
         assert "chain OK" in out
 
     def test_audit_json(self, capsys):
