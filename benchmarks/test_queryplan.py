@@ -1,35 +1,29 @@
-"""QUERYPLAN — binary record codec v2 + selectivity-driven planning.
+"""QUERYPLAN — binary-v2 rows + selectivity-driven planning.
 
-Four measurements, emitted to ``BENCH_queryplan.json`` (bench_util
+Three measurements, emitted to ``BENCH_queryplan.json`` (bench_util
 schema v2):
 
-* **codec round-trip** — µs/row to encode/decode one row under the v1
-  JSON codec vs the v2 binary codec, plus the v2 partial-decode cost
-  of touching a single field (informational; no gate);
-* **single predicate** — one indexed predicate, planned v2 store vs a
-  naive v1 store (informational);
+* **codec round-trip** — µs/row to encode/decode one row as binary-v2
+  vs the JSON escrow encoding (``encode_record_v1``), plus the v2
+  partial-decode cost of touching a single field (informational; no
+  gate);
+* **single predicate** — one indexed predicate, planned store vs a
+  naive store with no indexes (informational);
 * **multi-predicate mix** — a conjunctive query mix through
-  ``select_uids_where``: the planner + v2 partial decode against a
-  v1 store with no indexes (full-scan, full-JSON-decode per row).
-  Gate: >= 3x;
-* **GDPRBench bulk decode** — the bulk ``fetch_records`` path over a
-  GDPRBench-loaded population with projected (non-sensitive) fields,
-  record cache off, v1 vs v2.  Gate: v2 at least 25 % faster.
+  ``select_uids_where``: the planner over indexed fields against a
+  store with no indexes, which scans and partially decodes every row.
+  Gate: >= 3x.
 
-Scale knobs (for the CI smoke job): ``QUERYPLAN_BENCH_SUBJECTS``,
-``QUERYPLAN_BENCH_ROUNDS``, ``QUERYPLAN_BENCH_CODEC_ROWS``,
-``QUERYPLAN_BENCH_BULK_RECORDS``.
+Runs at one fixed scale: 400 subjects, 6 rounds, 2000 codec rows.
 """
 
 import itertools
-import os
 import time
 
 from bench_util import latency_block, merge_metric
 from conftest import print_series
 
 from repro import RgpdOS
-from repro.baseline.gdprbench import GDPRBenchRunner, RgpdOSAdapter
 from repro.storage import dbfs as dbfs_module
 from repro.storage.cache import CacheConfig
 from repro.storage.codec import (
@@ -37,18 +31,17 @@ from repro.storage.codec import (
     decode_record_v1,
     encode_record_v1,
 )
-from repro.storage.query import DataQuery, Predicate
+from repro.storage.query import Predicate
 from repro.workloads.generator import (
     STANDARD_DECLARATIONS,
     PopulationGenerator,
 )
 
-SUBJECTS = int(os.environ.get("QUERYPLAN_BENCH_SUBJECTS", "400"))
-ROUNDS = int(os.environ.get("QUERYPLAN_BENCH_ROUNDS", "6"))
-CODEC_ROWS = int(os.environ.get("QUERYPLAN_BENCH_CODEC_ROWS", "2000"))
+SUBJECTS = 400
+ROUNDS = 6
+CODEC_ROWS = 2000
 
 TARGET_MIX_SPEEDUP = 3.0
-TARGET_DECODE_GAIN = 1.25
 
 #: The conjunctive query mix (fields of the standard ``user`` type).
 QUERY_MIX = [
@@ -68,15 +61,14 @@ QUERY_MIX = [
 BENCH_CACHES = CacheConfig(record_cache_records=0)
 
 
-def build_system(authority, record_codec, indexed):
-    # Fresh uid counter per system so the v1/v2 builds assign the same
-    # uids and their query results are directly comparable.
+def build_system(authority, indexed):
+    # Fresh uid counter per system so the naive and planned builds
+    # assign the same uids and their query results compare directly.
     dbfs_module._uid_counter = itertools.count(5_000_000)
     system = RgpdOS(
         operator_name="queryplan-bench",
         authority=authority,
         with_machine=False,
-        record_codec=record_codec,
         cache_config=BENCH_CACHES,
     )
     system.install(STANDARD_DECLARATIONS)
@@ -109,7 +101,7 @@ def sample_rows(count):
 
 
 def test_codec_round_trip(benchmark):
-    """µs/row: v1 JSON vs v2 binary encode/decode + v2 partial decode."""
+    """µs/row: JSON escrow vs v2 binary encode/decode + v2 partial decode."""
     rows = sample_rows(min(CODEC_ROWS, 500))
     repeats = max(1, CODEC_ROWS // len(rows))
     codec = RecordCodec(sorted(rows[0]))
@@ -159,9 +151,9 @@ def test_codec_round_trip(benchmark):
 
 
 def test_single_predicate(benchmark, authority):
-    """One indexed predicate: planned v2 store vs naive v1 store."""
-    naive, naive_cred = build_system(authority, "v1", indexed=False)
-    planned, planned_cred = build_system(authority, "v2", indexed=True)
+    """One indexed predicate: planned store vs unindexed store."""
+    naive, naive_cred = build_system(authority, indexed=False)
+    planned, planned_cred = build_system(authority, indexed=True)
     predicates = (Predicate("city", "eq", "Lyon"),)
 
     def run(system, credential):
@@ -174,8 +166,8 @@ def test_single_predicate(benchmark, authority):
 
     print_series("QUERYPLAN single predicate", [
         ("config", "seconds"),
-        ("naive_v1_scan", round(naive_seconds, 5)),
-        ("planned_v2_index", round(planned_seconds, 5)),
+        ("naive_scan", round(naive_seconds, 5)),
+        ("planned_index", round(planned_seconds, 5)),
         ("speedup", round(speedup, 2)),
     ])
     benchmark.extra_info["speedup"] = speedup
@@ -183,18 +175,18 @@ def test_single_predicate(benchmark, authority):
         "queryplan", "single_predicate",
         config={"subjects": SUBJECTS, "rounds": ROUNDS},
         samples={
-            "naive_v1_seconds": naive_seconds,
-            "planned_v2_seconds": planned_seconds,
+            "naive_scan_seconds": naive_seconds,
+            "planned_seconds": planned_seconds,
         },
-        speedup=speedup, baseline="naive_v1_seconds",
+        speedup=speedup, baseline="naive_scan_seconds",
     )
     benchmark(lambda: run(planned, planned_cred))
 
 
 def test_multi_predicate_mix(benchmark, authority):
-    """The conjunctive mix: planner + v2 partial decode, >= 3x gate."""
-    naive, naive_cred = build_system(authority, "v1", indexed=False)
-    planned, planned_cred = build_system(authority, "v2", indexed=True)
+    """The conjunctive mix: planner vs unindexed scan, >= 3x gate."""
+    naive, naive_cred = build_system(authority, indexed=False)
+    planned, planned_cred = build_system(authority, indexed=True)
 
     def run_mix(system, credential):
         return [
@@ -216,9 +208,9 @@ def test_multi_predicate_mix(benchmark, authority):
         f"{len(QUERY_MIX)} queries x {ROUNDS} rounds)",
         [
             ("config", "seconds", "per_mix_ms"),
-            ("naive_v1_scan", round(naive_seconds, 5),
+            ("naive_scan", round(naive_seconds, 5),
              round(naive_seconds / ROUNDS * 1e3, 2)),
-            ("planned_v2", round(planned_seconds, 5),
+            ("planned", round(planned_seconds, 5),
              round(planned_seconds / ROUNDS * 1e3, 2)),
             ("speedup", round(speedup, 2), ""),
         ],
@@ -232,10 +224,10 @@ def test_multi_predicate_mix(benchmark, authority):
             "queries": len(QUERY_MIX),
         },
         samples={
-            "naive_v1_seconds": naive_seconds,
-            "planned_v2_seconds": planned_seconds,
+            "naive_scan_seconds": naive_seconds,
+            "planned_seconds": planned_seconds,
         },
-        speedup=speedup, baseline="naive_v1_seconds",
+        speedup=speedup, baseline="naive_scan_seconds",
         latency=latency_block(
             planned.telemetry.registry, ["dbfs.select_where", "dbfs.plan"]
         ),
@@ -254,73 +246,3 @@ def test_multi_predicate_mix(benchmark, authority):
     )
     benchmark(lambda: run_mix(planned, planned_cred))
 
-
-def test_gdprbench_bulk_decode(benchmark):
-    """GDPRBench bulk fetch: v2 partial decode >= 25 % faster than v1."""
-    record_count = int(os.environ.get("QUERYPLAN_BENCH_BULK_RECORDS", "5000"))
-    projection = frozenset({"name", "email", "city", "year_of_birthdate"})
-
-    def load(record_codec):
-        adapter = RgpdOSAdapter(
-            with_machine=False, record_codec=record_codec,
-            cache_config=BENCH_CACHES,
-        )
-        runner = GDPRBenchRunner(adapter, seed=7)
-        runner.load(record_count)
-        return adapter
-
-    def bulk_fetch(adapter):
-        dbfs = adapter.system.dbfs
-        credential = adapter.system.ps.builtins.credential
-        uids = tuple(sorted(adapter._refs))
-        query = DataQuery(
-            uids=uids, fields={uid: projection for uid in uids}
-        )
-        return dbfs.fetch_records(query, credential)
-
-    v1_adapter = load("v1")
-    v2_adapter = load("v2")
-    v1_records = bulk_fetch(v1_adapter)
-    v2_records = bulk_fetch(v2_adapter)
-    assert len(v1_records) == len(v2_records) == record_count
-    assert sorted(r["city"] for r in v1_records.values()) == \
-        sorted(r["city"] for r in v2_records.values())
-
-    v1_seconds = time_repeat(lambda: bulk_fetch(v1_adapter))
-    v2_seconds = time_repeat(lambda: bulk_fetch(v2_adapter))
-    gain = v1_seconds / v2_seconds
-
-    print_series(
-        f"QUERYPLAN GDPRBench bulk decode ({record_count} records)",
-        [
-            ("codec", "seconds", "per_record_us"),
-            ("v1-json", round(v1_seconds, 5),
-             round(v1_seconds / (ROUNDS * record_count) * 1e6, 1)),
-            ("v2-binary", round(v2_seconds, 5),
-             round(v2_seconds / (ROUNDS * record_count) * 1e6, 1)),
-            ("gain", round(gain, 2), ""),
-        ],
-    )
-    benchmark.extra_info["gain"] = gain
-    stats = v2_adapter.system.dbfs.stats
-    merge_metric(
-        "queryplan", "gdprbench_bulk_decode",
-        config={"records": record_count, "rounds": ROUNDS,
-                "projection": sorted(projection)},
-        samples={
-            "v1_seconds": v1_seconds,
-            "v2_seconds": v2_seconds,
-        },
-        speedup=gain, baseline="v1_seconds",
-        extra={
-            "decode_stats": {
-                "partial_decodes": stats.partial_decodes,
-                "full_decodes": stats.full_decodes,
-            },
-        },
-    )
-    assert gain >= TARGET_DECODE_GAIN, (
-        f"bulk-decode gain {gain:.2f}x below the "
-        f"{TARGET_DECODE_GAIN}x (25 %) target"
-    )
-    benchmark(lambda: bulk_fetch(v2_adapter))

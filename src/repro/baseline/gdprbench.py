@@ -41,7 +41,6 @@ from ..core.active_data import PDRef
 from ..core.purposes import processing as processing_decorator
 from ..core.system import RgpdOS
 from ..obs import Telemetry
-from ..storage.cache import CacheConfig
 from ..storage.journal import JournalConfig
 from ..workloads.generator import (
     STANDARD_DECLARATIONS,
@@ -240,10 +239,6 @@ class RgpdOSAdapter(StorageAdapter):
     shard count.  ``pd_device_blocks`` sizes each PD device (large
     populations need more than the default 65536 blocks per shard) and
     ``journal_config`` sets the per-shard auto-checkpoint policy.
-    ``record_codec`` picks the row encoding ("v2" binary, "v1" JSON)
-    and ``cache_config`` the fast-path knobs, so the persona mixes can
-    isolate the decode path (codec benchmarks run with the record cache
-    off).
     """
 
     name = "rgpdos"
@@ -255,8 +250,6 @@ class RgpdOSAdapter(StorageAdapter):
         journal_config: Optional[JournalConfig] = None,
         with_machine: bool = True,
         telemetry: Optional[Telemetry] = None,
-        record_codec: str = "v2",
-        cache_config: Optional[CacheConfig] = None,
         workers: int = 0,
         io_delay_scale: float = 0.0,
     ) -> None:
@@ -267,8 +260,6 @@ class RgpdOSAdapter(StorageAdapter):
             journal_config=journal_config,
             with_machine=with_machine,
             telemetry=telemetry,
-            record_codec=record_codec,
-            cache_config=cache_config,
             workers=workers,
             io_delay_scale=io_delay_scale,
         )
@@ -539,15 +530,13 @@ def run_comparison(
     seed: int = 7,
     shards: int = 1,
     telemetry: Optional[Telemetry] = None,
-    record_codec: str = "v2",
 ) -> List[BenchResult]:
     """The GB-1 grid: every persona on every engine.
 
-    ``shards``, ``telemetry`` and ``record_codec`` apply to the rgpdOS
-    engine only (the baselines have no sharded layout, no probe points
-    and no binary rows); passing one shared :class:`Telemetry` collects
-    every persona run's spans and latency histograms into a single
-    registry/tracer.
+    ``shards`` and ``telemetry`` apply to the rgpdOS engine only (the
+    baselines have no sharded layout and no probe points); passing one
+    shared :class:`Telemetry` collects every persona run's spans and
+    latency histograms into a single registry/tracer.
     """
     results: List[BenchResult] = []
     for adapter_cls in (PlainDBAdapter, UserspaceDBAdapter, RgpdOSAdapter):
@@ -555,7 +544,6 @@ def run_comparison(
             if adapter_cls is RgpdOSAdapter:
                 adapter: StorageAdapter = RgpdOSAdapter(
                     shards=shards, telemetry=telemetry,
-                    record_codec=record_codec,
                 )
             else:
                 adapter = adapter_cls()

@@ -323,7 +323,6 @@ class ReplicatedCluster:
             cache_config=self.system.cache_config,
             journal_config=getattr(template.journal, "config", None),
             telemetry=self.telemetry,
-            record_codec=getattr(template, "_record_codec", "v2"),
         )
 
     # ------------------------------------------------------------------
@@ -872,7 +871,6 @@ class ReplicatedCluster:
                 cache_config=self.system.cache_config,
                 journal_config=getattr(shards[0].journal, "config", None),
                 telemetry=self.telemetry,
-                record_codec=getattr(shards[0], "_record_codec", "v2"),
                 ttl_observers=store.fleet_ttl_observers,
             )
         return DatabaseFS.remount_from_device(
@@ -882,7 +880,6 @@ class ReplicatedCluster:
             cache_config=self.system.cache_config,
             journal_config=getattr(store.journal, "config", None),
             telemetry=self.telemetry,
-            record_codec=getattr(store, "_record_codec", "v2"),
         )
 
     # ------------------------------------------------------------------

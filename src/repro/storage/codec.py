@@ -1,19 +1,13 @@
-"""Record codecs for DBFS rows (paper § 3(1): format-descriptor inodes).
+"""Record encoding for DBFS rows (paper § 3(1): format-descriptor inodes).
 
-Two wire encodings coexist, negotiated through the per-type format
-descriptor inode:
+Every table row is encoded as **binary-v2**, declared in the per-type
+format descriptor inode: a schema-aware binary layout.  The descriptor
+carries an append-only ``field_order`` list; each row stores a per-row
+field-offset table followed by tagged values, so a reader can decode
+*only* the fields a predicate or projection touches (partial decode)
+and ``bytes`` are stored raw, not base64.
 
-* **v1** — ``json+base64-bytes``: the row is a JSON object; ``bytes``
-  values are wrapped as ``{"__bytes__": "<base64>"}``.  Every read pays
-  a full ``json.loads`` of the row.
-
-* **v2** — ``binary-v2``: a schema-aware binary layout.  The format
-  descriptor carries an append-only ``field_order`` list; each row
-  stores a per-row field-offset table followed by tagged values, so a
-  reader can decode *only* the fields a predicate or projection
-  touches (partial decode) and ``bytes`` are stored raw, not base64.
-
-v2 row layout (all integers little-endian)::
+Row layout (all integers little-endian)::
 
     [0]      magic      0xB2   (JSON text can never start with 0xB2)
     [1]      version    0x02
@@ -31,27 +25,28 @@ Value tags::
     0x04 STR     u32 length + UTF-8 bytes
     0x05 BYTES   u32 length + raw bytes
     0x06 JSON    u32 length + UTF-8 JSON (fallback: out-of-range ints,
-                 nested containers; nested bytes use the v1 wrapping)
+                 nested containers; nested bytes use the escrow wrapping)
 
 Schema evolution is append-only (``evolve_type``), so ``field_order``
 only ever grows at the tail: rows written before an evolution simply
 have a shorter offset table and decode fine against the longer order.
-Decoding auto-detects the encoding per row from the magic byte, which
-keeps mixed-encoding tables (pre-/post-upgrade rows) and crash
-recovery robust without trusting anything but the row bytes and the
-descriptor's field order.
+A row without the v2 header is corrupt and raises :class:`DBFSError`.
+
+Escrow plaintext is the one non-table encoding: ``encode_record_v1``
+writes a JSON object with ``bytes`` wrapped as
+``{"__bytes__": "<base64>"}``, because the authority decrypts and
+decodes an escrow blob without the operator's format descriptors.
 """
 from __future__ import annotations
 
 import base64
 import json
 import struct
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..errors import DBFSError
 
-# Encoding names as written into format-descriptor inodes.
-ENCODING_V1 = "json+base64-bytes"
+# Encoding name as written into format-descriptor inodes.
 ENCODING_V2 = "binary-v2"
 
 MAGIC_V2 = 0xB2
@@ -77,7 +72,7 @@ _F64 = struct.Struct("<d")
 
 
 # --------------------------------------------------------------------------
-# v1: JSON with base64-wrapped bytes
+# Escrow plaintext: JSON with base64-wrapped bytes
 # --------------------------------------------------------------------------
 
 def _json_default(obj: object) -> object:
@@ -93,12 +88,12 @@ def _json_object_hook(obj: Dict[str, object]) -> object:
 
 
 def encode_record_v1(record: Dict[str, object]) -> bytes:
-    """Serialize a record dict with the v1 JSON encoding."""
+    """Serialize a record dict as escrow plaintext (JSON)."""
     return json.dumps(record, sort_keys=True, default=_json_default).encode()
 
 
 def decode_record_v1(raw: bytes) -> Dict[str, object]:
-    """Deserialize a v1 JSON payload (empty payload = empty record).
+    """Deserialize escrow plaintext (empty payload = empty record).
 
     Accepts any bytes-like object (``memoryview`` from the zero-copy
     read path included), hence ``str(raw, ...)`` over ``raw.decode()``.
@@ -166,11 +161,7 @@ class RecordCodec:
     # -- decode ----------------------------------------------------------
 
     def decode(self, raw: bytes) -> Dict[str, object]:
-        """Fully decode a v2 row (or fall back to v1 JSON per-row)."""
-        if not raw:
-            return {}
-        if not is_v2_payload(raw):
-            return decode_record_v1(raw)
+        """Fully decode a v2 row."""
         count, offsets, base = self._parse_header(raw)
         order = self.field_order
         record: Dict[str, object] = {}
@@ -183,16 +174,7 @@ class RecordCodec:
     def decode_fields(
         self, raw: bytes, fields: Iterable[str]
     ) -> Dict[str, object]:
-        """Decode only *fields*, using the offset table to skip the rest.
-
-        v1 rows (no magic byte) fall back to a full JSON decode followed
-        by projection — correct, just not cheaper.
-        """
-        if not raw:
-            return {}
-        if not is_v2_payload(raw):
-            full = decode_record_v1(raw)
-            return {k: v for k, v in full.items() if k in set(fields)}
+        """Decode only *fields*, using the offset table to skip the rest."""
         count, offsets, base = self._parse_header(raw)
         ordinal = self.ordinal
         record: Dict[str, object] = {}
@@ -206,6 +188,8 @@ class RecordCodec:
         return record
 
     def _parse_header(self, raw: bytes):
+        if not is_v2_payload(raw):
+            raise DBFSError("corrupt row: missing the binary-v2 header")
         try:
             _, _, count = _HEADER.unpack_from(raw, 0)
         except struct.error as exc:
@@ -245,7 +229,7 @@ def _encode_value(out: bytearray, value: object) -> None:
         out += value
     else:
         # Fallback covers out-of-range ints and nested containers; the
-        # JSON leg reuses the v1 bytes wrapping for nested bytes.
+        # JSON leg reuses the escrow bytes wrapping for nested bytes.
         encoded = json.dumps(
             value, sort_keys=True, default=_json_default
         ).encode()
@@ -290,25 +274,17 @@ def _decode_value(raw: bytes, pos: int) -> object:
     raise DBFSError(f"unknown v2 value tag 0x{tag:02x} at offset {pos}")
 
 
-def codec_for_format(format_spec: Dict[str, object]) -> Optional[RecordCodec]:
-    """Compile a :class:`RecordCodec` for a v2 format spec (None for v1)."""
+def codec_for_format(format_spec: Dict[str, object]) -> RecordCodec:
+    """Compile the :class:`RecordCodec` a binary-v2 format spec declares."""
     if format_spec.get("encoding") != ENCODING_V2:
-        return None
+        raise DBFSError(
+            f"format descriptor declares encoding "
+            f"{format_spec.get('encoding')!r}; only {ENCODING_V2!r} is "
+            "supported"
+        )
     field_order = format_spec.get("field_order")
     if not field_order:
         raise DBFSError(
             "binary-v2 format descriptor is missing its field_order"
         )
     return RecordCodec(field_order)
-
-
-def decode_any(raw: bytes, codec: Optional[RecordCodec]) -> Dict[str, object]:
-    """Decode a row of either encoding, auto-detected per row."""
-    if raw and is_v2_payload(raw):
-        if codec is None:
-            raise DBFSError(
-                "found a binary-v2 row but the format descriptor "
-                "declares no field order"
-            )
-        return codec.decode(raw)
-    return decode_record_v1(raw)

@@ -63,7 +63,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .. import errors
 from ..core.active_data import AccessCredential, PDRef
@@ -72,24 +72,9 @@ from ..core.datatypes import PDType
 from ..core.membrane import Membrane
 from ..obs import NULL_TELEMETRY, Telemetry
 from .block import BlockDevice, store_bytes
-from .btree import (
-    DEFAULT_PAGE_CAPACITY,
-    BloomFilter,
-    DurableFieldIndex,
-    FieldIndex,
-    bloom_key,
-)
+from .btree import BloomFilter, DurableFieldIndex, bloom_key
 from .cache import MISSING, CacheConfig, DEFAULT_CACHE_CONFIG, LRUCache
-from .codec import (
-    ENCODING_V1,
-    ENCODING_V2,
-    RecordCodec,
-    codec_for_format,
-    decode_any,
-    decode_record_v1,
-    encode_record_v1,
-    is_v2_payload,
-)
+from .codec import ENCODING_V2, RecordCodec, codec_for_format, encode_record_v1
 from .planner import STRATEGY_INDEX, QueryPlan, compile_residual, plan_query
 from .inode import (
     KIND_DIRECTORY,
@@ -120,21 +105,6 @@ from .query import (
 )
 
 _uid_counter = itertools.count(1)
-
-
-def _encode_record(record: Mapping[str, object]) -> bytes:
-    """v1 JSON encoding (kept for escrow blobs and v1-encoded tables).
-
-    The authority-escrow path always uses this codec: the ciphertext
-    must stay decodable by the authority without the operator's format
-    descriptors.  Table rows go through :meth:`DatabaseFS._encode_payload`
-    instead, which dispatches on the type's negotiated encoding.
-    """
-    return encode_record_v1(dict(record))
-
-
-def _decode_record(raw: bytes) -> Dict[str, object]:
-    return decode_record_v1(raw)
 
 
 def _locked_writer(method):
@@ -215,26 +185,16 @@ class DatabaseFS:
         cache_config: Optional[CacheConfig] = None,
         journal_config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        record_codec: str = "v2",
         scan_batch_rows: int = 256,
         bloom_filters: bool = True,
-        index_page_capacity: int = DEFAULT_PAGE_CAPACITY,
     ) -> None:
         self.cache_config = cache_config if cache_config is not None else DEFAULT_CACHE_CONFIG
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if record_codec not in ("v1", "v2"):
-            raise errors.DBFSError(
-                f"unknown record codec {record_codec!r} (valid: v1, v2)"
-            )
-        #: Encoding written into *new* format descriptors; existing
-        #: tables keep whatever their descriptor negotiated.
-        self._record_codec = record_codec
         #: Rows per chunk on the batched read path; 0 restores the
         #: row-at-a-time legacy scan (the batching benchmark's baseline).
         self.scan_batch_rows = scan_batch_rows
         #: Per-table subject/uid bloom filters gating negative lookups.
         self.bloom_filters = bloom_filters
-        self._index_page_capacity = index_page_capacity
         self.device = device or BlockDevice(
             page_cache_blocks=self.cache_config.page_cache_blocks,
             telemetry=self.telemetry,
@@ -348,14 +308,11 @@ class DatabaseFS:
         self._membrane_index: Dict[str, int] = {}    # uid -> membrane inode no
         self._escrow_blobs: Dict[str, EscrowBlob] = {}
         self._format_cache: Dict[str, Dict[str, object]] = {}  # per live session
-        # Compiled v2 row codecs, one per live format descriptor (None
-        # for v1 tables).  Lives and dies with _format_cache.
-        self._codec_cache: Dict[str, Optional[RecordCodec]] = {}
-        # Secondary field indexes: (type, field) -> index.  Values are
-        # DurableFieldIndex (on-device pages) for dbfs-owned indexes;
-        # the in-memory FieldIndex shares the same interface and still
-        # backs direct embedders.
-        self._field_indexes: Dict[Tuple[str, str], object] = {}
+        # Compiled v2 row codecs, one per live format descriptor.
+        # Lives and dies with _format_cache.
+        self._codec_cache: Dict[str, RecordCodec] = {}
+        # Secondary field indexes: (type, field) -> on-device B-tree.
+        self._field_indexes: Dict[Tuple[str, str], DurableFieldIndex] = {}
         # Per-table subject/uid bloom filters ("S:<subject>" and
         # "U:<uid>" keys): definite-absent answers for negative lookups
         # without touching membranes.  Rebuilt from the trees on
@@ -433,21 +390,17 @@ class DatabaseFS:
         self.inodes.link_child(self._schema_root.number, pd_type.name, table.number)
         # Format descriptor: how records of this type are encoded in the
         # subject subtrees — read once per live session (see _format_of).
-        # The encoding is negotiated here: binary-v2 descriptors carry
-        # the append-only field_order list every v2 row's offset table
-        # is indexed against.
+        # It carries the append-only field_order list every binary-v2
+        # row's offset table is indexed against.
         format_inode = self.inodes.allocate(KIND_FORMAT)
         format_spec = {
             "type": pd_type.name,
-            "encoding": (
-                ENCODING_V2 if self._record_codec == "v2" else ENCODING_V1
-            ),
+            "encoding": ENCODING_V2,
             "public_fields": sorted(pd_type.field_names - pd_type.sensitive_fields),
             "sensitive_fields": sorted(pd_type.sensitive_fields),
             "membrane_encoding": "json",
+            "field_order": sorted(pd_type.field_names),
         }
-        if self._record_codec == "v2":
-            format_spec["field_order"] = sorted(pd_type.field_names)
         self.inodes.write_payload(
             format_inode.number, json.dumps(format_spec, sort_keys=True).encode()
         )
@@ -515,13 +468,10 @@ class DatabaseFS:
         format_inode = self.inodes.lookup(
             self._formats_root.number, new_type.name
         )
-        # Evolution is the v1 -> v2 upgrade point: the rewritten
-        # descriptor always declares binary-v2, with the field order
-        # extended append-only (existing ordinals never move, so rows
-        # written before the evolution keep decoding; rows already on
-        # disk as v1 JSON remain readable via per-row auto-detection).
-        old_spec = self._format_of(new_type.name)
-        old_order = list(old_spec.get("field_order") or [])
+        # The field order is extended append-only: existing ordinals
+        # never move, so rows written before the evolution keep
+        # decoding against the longer order.
+        old_order = list(self._format_of(new_type.name)["field_order"])
         known = set(old_order)
         field_order = old_order + sorted(
             name for name in new_type.field_names if name not in known
@@ -577,26 +527,23 @@ class DatabaseFS:
         self.stats.format_reads += 1
         return spec
 
-    def _codec_of(self, type_name: str) -> Optional[RecordCodec]:
-        """Compiled v2 codec for the type, or None for v1 tables.
+    def _codec_of(self, type_name: str) -> RecordCodec:
+        """Compiled v2 codec for the type.
 
         Compiled once per live format descriptor; invalidated together
         with ``_format_cache`` (evolve_type, remount).
         """
-        codec = self._codec_cache.get(type_name, MISSING)
-        if codec is MISSING:
+        codec = self._codec_cache.get(type_name)
+        if codec is None:
             codec = codec_for_format(self._format_of(type_name))
             self._codec_cache[type_name] = codec
-        return codec  # type: ignore[return-value]
+        return codec
 
     def _encode_payload(
         self, type_name: str, record: Mapping[str, object]
     ) -> bytes:
-        """Encode a row (or row half) with the type's negotiated codec."""
-        codec = self._codec_of(type_name)
-        if codec is None:
-            return _encode_record(record)
-        return codec.encode(dict(record))
+        """Encode a row (or row half) with the type's codec."""
+        return self._codec_of(type_name).encode(dict(record))
 
     # ------------------------------------------------------------------
     # Secondary field indexes
@@ -647,9 +594,8 @@ class DatabaseFS:
         return index
 
     def _index_kwargs(self) -> Dict[str, object]:
-        """Construction knobs shared by every durable index of this store."""
+        """Counters shared by every durable index of this store."""
         return {
-            "page_capacity": self._index_page_capacity,
             "page_reads": self._ctr_page_reads,
             "bloom_hits": self._ctr_bloom_hits,
             "bloom_skips": self._ctr_bloom_skips,
@@ -672,11 +618,7 @@ class DatabaseFS:
         )
         pairs = []
         for uid in self._table_listing(type_name):
-            inode = self.inodes.get(self._record_index[uid])
-            if "erased" in inode.attrs:
-                if inode.attrs["erased"]:
-                    continue
-            elif self._load_membrane(uid).erased:  # pre-marker records
+            if self.inodes.get(self._record_index[uid]).attrs["erased"]:
                 continue
             try:
                 record = self._load_record_raw(uid)
@@ -757,7 +699,7 @@ class DatabaseFS:
             return uids
 
     def _select_indexed(
-        self, index: FieldIndex, predicate: Predicate
+        self, index: DurableFieldIndex, predicate: Predicate
     ) -> List[str]:
         # The whole B-tree traversal runs under the index lock: a
         # writer splitting a node mid-range-walk would corrupt the
@@ -839,15 +781,13 @@ class DatabaseFS:
         ``fields`` through the v2 offset table.  Erasure is decided
         from the record inode's ``erased`` attr — no membrane loads on
         the scan path.  The sensitive sibling inode is only touched
-        when a wanted field is sensitive; v1 straggler rows fall back
-        to the cached full decode.
+        when a wanted field is sensitive.
         """
         wanted = frozenset(fields)
         codec = self._codec_of(type_name)
-        sensitive_wanted: FrozenSet[str] = frozenset()
-        if codec is not None:
-            fmt = self._format_of(type_name)
-            sensitive_wanted = wanted.intersection(fmt["sensitive_fields"])
+        sensitive_wanted = wanted.intersection(
+            self._format_of(type_name)["sensitive_fields"]
+        )
         batch_rows = max(1, self.scan_batch_rows)
         record_cache = self._record_cache
         record_index = self._record_index
@@ -862,10 +802,7 @@ class DatabaseFS:
                 if inode_no is None:
                     continue
                 inode = inodes.get(inode_no)
-                if "erased" in inode.attrs:
-                    if inode.attrs["erased"]:
-                        continue
-                elif self._load_membrane(uid).erased:  # pre-marker records
+                if inode.attrs["erased"]:
                     continue
                 cached = record_cache.get(uid)
                 if cached is not MISSING:
@@ -877,23 +814,16 @@ class DatabaseFS:
                 raw = inodes.read_payload_view(inode_no)
                 if not len(raw):
                     continue  # erase's scrub half ran; mark in flight
-                if codec is not None and is_v2_payload(raw):
-                    record = codec.decode_fields(raw, wanted)
-                    if sensitive_wanted:
-                        sensitive_no = inode.attrs.get("sensitive_inode")
-                        if sensitive_no is not None:
-                            record.update(codec.decode_fields(
-                                inodes.read_payload_view(sensitive_no),
-                                sensitive_wanted,
-                            ))
-                    self.stats.partial_decodes += 1
-                    self.stats.fields_decoded += len(record)
-                else:
-                    try:
-                        full = self._load_record_raw(uid)
-                    except errors.ExpiredPDError:
-                        continue
-                    record = {k: v for k, v in full.items() if k in wanted}
+                record = codec.decode_fields(raw, wanted)
+                if sensitive_wanted:
+                    sensitive_no = inode.attrs.get("sensitive_inode")
+                    if sensitive_no is not None:
+                        record.update(codec.decode_fields(
+                            inodes.read_payload_view(sensitive_no),
+                            sensitive_wanted,
+                        ))
+                self.stats.partial_decodes += 1
+                self.stats.fields_decoded += len(record)
                 rows.append((uid, record))
             yield rows
 
@@ -1043,11 +973,7 @@ class DatabaseFS:
                         inode_no = self._record_index.get(uid)
                         if inode_no is None:
                             continue
-                        attrs = self.inodes.get(inode_no).attrs
-                        if "erased" in attrs:
-                            if attrs["erased"]:
-                                continue
-                        elif self._load_membrane(uid).erased:
+                        if self.inodes.get(inode_no).attrs["erased"]:
                             continue
                         matches.append(uid)
             elif batched:
@@ -1216,8 +1142,15 @@ class DatabaseFS:
 
             # Link into both major trees and publish the volatile
             # lookup structures in one short index-lock section, so a
-            # concurrent scan sees either none or all of them.
+            # concurrent scan sees either none or all of them.  The MVCC
+            # begin version is stamped first, inside the same section:
+            # every reader finds the uid through a structure published
+            # here, so none can see it before its begin version exists
+            # (an unstamped uid is visible to every snapshot).  Lock
+            # order is index -> MVCC; MVCCState never takes the index
+            # lock.
             with self._index_lock:
+                self.mvcc.stamp_store(uid)
                 self.inodes.link_child(
                     subject_inode.number, uid, record_inode.number
                 )
@@ -1248,9 +1181,6 @@ class DatabaseFS:
             raise
         self.stats.stores += 1
         self.journal.commit()
-        # MVCC begin version lands after the commit: snapshots begun
-        # before this point filter the uid out; later ones see it.
-        self.mvcc.stamp_store(uid)
         # TTL observers (the expiry daemon's timer wheel) hear about
         # the new deadline only after the record is durably committed.
         self._notify_ttl(uid, membrane.subject_id, membrane.expiry_deadline())
@@ -1613,8 +1543,7 @@ class DatabaseFS:
         if inode_no is None:
             raise errors.UnknownRecordError(f"no PD with uid {uid!r}")
         inode = self.inodes.get(inode_no)
-        type_name = inode.attrs.get("pd_type")
-        codec = self._codec_of(type_name) if type_name else None
+        codec = self._codec_of(inode.attrs["pd_type"])
         raw = self.inodes.read_payload_view(inode_no)
         if not len(raw):
             # A live record always has a non-empty payload; an empty
@@ -1623,11 +1552,11 @@ class DatabaseFS:
             raise errors.ExpiredPDError(
                 f"PD {uid!r} has been erased; its data is not retrievable"
             )
-        record = decode_any(raw, codec)
+        record = codec.decode(raw)
         sensitive_no = inode.attrs.get("sensitive_inode")
         if sensitive_no is not None:
             record.update(
-                decode_any(self.inodes.read_payload_view(sensitive_no), codec)
+                codec.decode(self.inodes.read_payload_view(sensitive_no))
             )
         self.stats.full_decodes += 1
         self._record_cache.put(uid, dict(record))
@@ -1636,15 +1565,14 @@ class DatabaseFS:
     def _load_record_fields(
         self, uid: str, fields: Iterable[str]
     ) -> Dict[str, object]:
-        """Project a record to ``fields``, decoding only those for v2 rows.
+        """Project a record to ``fields``, decoding only those.
 
         The record cache is consulted first (a cached record is already
-        decoded, projection is free); a miss on a v2 row decodes just
-        the wanted ordinals through the offset table and skips the
+        decoded, projection is free); a miss decodes just the wanted
+        ordinals through the row's offset table and skips the
         sensitive inode entirely when no sensitive field is wanted.
         Partial results are never inserted into the record cache — it
-        holds full merged records only.  v1 rows (and v1 stragglers in
-        an upgraded table) take the full-decode path.
+        holds full merged records only.
         """
         wanted = set(fields)
         cached = self._record_cache.get(uid)
@@ -1656,15 +1584,13 @@ class DatabaseFS:
         if inode_no is None:
             raise errors.UnknownRecordError(f"no PD with uid {uid!r}")
         inode = self.inodes.get(inode_no)
-        type_name = inode.attrs.get("pd_type")
-        codec = self._codec_of(type_name) if type_name else None
-        if codec is None:  # v1 table: no partial decode exists
-            full = self._load_record_raw(uid)
-            return {k: v for k, v in full.items() if k in wanted}
+        type_name = inode.attrs["pd_type"]
+        codec = self._codec_of(type_name)
         raw = self.inodes.read_payload_view(inode_no)
-        if not is_v2_payload(raw):  # pre-upgrade v1 straggler row
-            full = self._load_record_raw(uid)
-            return {k: v for k, v in full.items() if k in wanted}
+        if not len(raw):
+            raise errors.ExpiredPDError(
+                f"PD {uid!r} has been erased; its data is not retrievable"
+            )
         record = codec.decode_fields(raw, wanted)
         sensitive_no = inode.attrs.get("sensitive_inode")
         if sensitive_no is not None:
@@ -1724,9 +1650,6 @@ class DatabaseFS:
             sensitive = {
                 k: v for k, v in record.items() if k in fmt["sensitive_fields"]
             }
-            # Re-encoding with the *current* negotiated codec also
-            # migrates pre-upgrade v1 rows to binary-v2 on their next
-            # update.
             self.inodes.rewrite_scrubbed(
                 inode_no, self._encode_payload(pd_type.name, public)
             )
@@ -1794,7 +1717,7 @@ class DatabaseFS:
                 raise errors.ErasureError(
                     "escrow deletion requires an authority-issued operator key"
                 )
-            blob = self._operator_key.escrow_encrypt(_encode_record(record))
+            blob = self._operator_key.escrow_encrypt(encode_record_v1(record))
             # Stage the ciphertext on *fresh* blocks before the intent
             # commits.  Staging destroys nothing: a crash here leaves
             # the plaintext record fully intact and the uncommitted
@@ -2326,10 +2249,8 @@ class DatabaseFS:
         cache_config: Optional[CacheConfig] = None,
         journal_config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        record_codec: str = "v2",
         scan_batch_rows: int = 256,
         bloom_filters: bool = True,
-        index_page_capacity: int = DEFAULT_PAGE_CAPACITY,
     ) -> "DatabaseFS":
         """True-crash remount: a fresh DBFS over surviving state only.
 
@@ -2341,7 +2262,8 @@ class DatabaseFS:
 
         1. drop the page cache (a post-crash cache could serve bytes
            whose last write the power cut discarded);
-        2. locate the three root trees by their ``role`` attrs and
+        2. locate the four root trees by their ``role`` attrs (a
+           volume missing any of them is not a DBFS volume) and
            rebuild the journal from its reserved extent alone
            (:meth:`Journal.remount` — a fresh object, device bytes
            only);
@@ -2362,17 +2284,8 @@ class DatabaseFS:
             cache_config if cache_config is not None else DEFAULT_CACHE_CONFIG
         )
         fs.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if record_codec not in ("v1", "v2"):
-            raise errors.DBFSError(
-                f"unknown record codec {record_codec!r} (valid: v1, v2)"
-            )
-        # Only governs types created *after* the remount; surviving
-        # tables keep the encoding their format descriptor negotiated,
-        # and rows are auto-detected per row either way.
-        fs._record_codec = record_codec
         fs.scan_batch_rows = scan_batch_rows
         fs.bloom_filters = bloom_filters
-        fs._index_page_capacity = index_page_capacity
         fs.device = device
         device.drop_page_cache()
         fs.inodes = inodes
@@ -2383,7 +2296,9 @@ class DatabaseFS:
             role = inodes.get(number).attrs.get("role")
             if isinstance(role, str):
                 roots[role] = inodes.get(number)
-        missing = {"subjects-root", "schema-root", "formats-root"} - set(roots)
+        missing = {
+            "subjects-root", "schema-root", "formats-root", "indexes-root",
+        } - set(roots)
         if missing:
             raise errors.DBFSError(
                 f"remount: no {sorted(missing)[0]} inode found — "
@@ -2392,13 +2307,7 @@ class DatabaseFS:
         fs._subjects_root = roots["subjects-root"]
         fs._schema_root = roots["schema-root"]
         fs._formats_root = roots["formats-root"]
-        indexes_root = roots.get("indexes-root")
-        if indexes_root is None:
-            # Volume predates durable indexes: create the fourth root
-            # so the attach path and future flushes have a home.
-            indexes_root = inodes.allocate(KIND_DIRECTORY)
-            indexes_root.attrs["role"] = "indexes-root"
-        fs._indexes_root = indexes_root
+        fs._indexes_root = roots["indexes-root"]
 
         extent = fs._subjects_root.attrs.get("journal_extent")
         if not extent:
@@ -2552,7 +2461,7 @@ class DatabaseFS:
             if record_no is None:
                 continue  # rolled back (or later erased): entries stay gone
             inode = self.inodes.get(record_no)
-            if inode.attrs.get("erased") or inode.size == 0:
+            if inode.attrs["erased"] or inode.size == 0:
                 continue
             try:
                 record = self._load_record_raw(uid)
@@ -2601,9 +2510,7 @@ class DatabaseFS:
         # per-table blooms.  One metadata pass: lineage and erasure
         # ride the record inode's attrs (maintained by store and
         # put_membrane), so no membrane payload is read here — that is
-        # what keeps this walk cheap at 50k records.  Records written
-        # before the markers existed self-heal: their membrane is read
-        # once and the attrs are stamped for every later remount.
+        # what keeps this walk cheap at 50k records.
         recovered_records = 0
         bloom_keys: Dict[str, List[str]] = {}
         for subject_id, subject_no in sorted(
@@ -2619,13 +2526,7 @@ class DatabaseFS:
                     )
                 self._record_index[uid] = record_no
                 self._membrane_index[uid] = membrane_no
-                if "lineage" in record_inode.attrs:
-                    lineage = record_inode.attrs["lineage"]
-                else:
-                    membrane = self._load_membrane(uid)
-                    lineage = membrane.lineage
-                    record_inode.attrs["lineage"] = lineage
-                    record_inode.attrs["erased"] = membrane.erased
+                lineage = record_inode.attrs["lineage"]
                 if lineage:
                     self._lineage_index.setdefault(lineage, set()).add(uid)
                 envelope = record_inode.attrs.get("escrow_envelope")
@@ -2767,10 +2668,8 @@ class DatabaseFS:
         with self._index_lock:
             indexes = list(self._field_indexes.values())
         for index in indexes:
-            flush = getattr(index, "flush", None)
-            if flush is not None:
-                flush()
-                flushed += 1
+            index.flush()
+            flushed += 1
         for type_name, bloom in sorted(self._table_blooms.items()):
             self._persist_table_bloom(type_name, bloom)
             flushed += 1
@@ -2806,7 +2705,7 @@ class DatabaseFS:
         record_no = self._record_index.get(uid)
         if record_no is None:
             return False
-        return not self.inodes.get(record_no).attrs.get("erased")
+        return not self.inodes.get(record_no).attrs["erased"]
 
     @_locked_writer
     def compact(
@@ -2902,7 +2801,7 @@ class DatabaseFS:
                 if record_no is None:
                     continue
                 inode = self.inodes.get(record_no)
-                if inode.attrs.get("erased"):
+                if inode.attrs["erased"]:
                     continue
                 numbers = [record_no]
                 sensitive_no = inode.attrs.get("sensitive_inode")
@@ -2928,12 +2827,9 @@ class DatabaseFS:
         with self._index_lock:
             indexes = sorted(self._field_indexes.items())
         for (type_name, field_name), index in indexes:
-            compact_pages = getattr(index, "compact", None)
-            if compact_pages is None:
-                continue  # in-memory FieldIndex: nothing durable to repack
             self.journal.begin()
             self.journal.log_delete(f"compact-index:{type_name}.{field_name}")
-            compact_pages()
+            index.compact()
             self.journal.commit()
             report["indexes_compacted"] += 1
             self.stats.compacted_indexes += 1
@@ -2949,7 +2845,7 @@ class DatabaseFS:
                 subject = self.inodes.get(subject_no)
                 for uid, record_no in sorted(subject.children.items()):
                     inode = self.inodes.get(record_no)
-                    if inode.attrs.get("erased"):
+                    if inode.attrs["erased"]:
                         continue
                     type_name = inode.attrs.get("pd_type")
                     if isinstance(type_name, str):

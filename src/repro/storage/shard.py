@@ -61,7 +61,7 @@ from ..core.datatypes import PDType
 from ..core.membrane import Membrane
 from ..obs import NULL_TELEMETRY, Telemetry
 from .block import BlockDevice
-from .btree import DEFAULT_PAGE_CAPACITY, DurableFieldIndex
+from .btree import DurableFieldIndex
 from .cache import CacheConfig, DEFAULT_CACHE_CONFIG
 from .dbfs import DatabaseFS, DBFSStats
 from .inode import InodeTable
@@ -103,10 +103,6 @@ class ShardedDBFS:
         cache_config: Optional[CacheConfig] = None,
         journal_config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        record_codec: str = "v2",
-        scan_batch_rows: int = 256,
-        bloom_filters: bool = True,
-        index_page_capacity: int = DEFAULT_PAGE_CAPACITY,
     ) -> None:
         if devices is not None:
             shard_count = len(devices)
@@ -130,10 +126,6 @@ class ShardedDBFS:
                 cache_config=self.cache_config,
                 journal_config=journal_config,
                 telemetry=self.telemetry,
-                record_codec=record_codec,
-                scan_batch_rows=scan_batch_rows,
-                bloom_filters=bloom_filters,
-                index_page_capacity=index_page_capacity,
             )
             for i in range(shard_count)
         ]
@@ -166,10 +158,6 @@ class ShardedDBFS:
         cache_config: Optional[CacheConfig] = None,
         journal_config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        record_codec: str = "v2",
-        scan_batch_rows: int = 256,
-        bloom_filters: bool = True,
-        index_page_capacity: int = DEFAULT_PAGE_CAPACITY,
         ttl_observers: Sequence[
             Callable[[str, str, Optional[float]], None]
         ] = (),
@@ -221,10 +209,6 @@ class ShardedDBFS:
                     cache_config=fleet.cache_config,
                     journal_config=journal_config,
                     telemetry=fleet.telemetry,
-                    record_codec=record_codec,
-                    scan_batch_rows=scan_batch_rows,
-                    bloom_filters=bloom_filters,
-                    index_page_capacity=index_page_capacity,
                 )
             except (errors.RgpdOSError, ValueError, KeyError, TypeError) as exc:
                 # Isolate the corruption: one bad shard must degrade,

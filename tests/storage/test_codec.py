@@ -1,12 +1,10 @@
-"""Tests for the binary record codec v2 and v1/v2 coexistence.
+"""Tests for the binary-v2 record codec and the JSON escrow encoding.
 
 Covers the wire format in isolation (round-trips, partial decode,
-corruption handling), the DBFS encoding negotiation through the format
-descriptor (``record_codec="v1"``/``"v2"``, ``evolve_type`` upgrades,
-mixed-encoding tables), and crash recovery over v2-encoded volumes.
+corruption handling, non-v2 rows rejected), the DBFS format descriptor
+(field order, append-only evolution, escrow plaintext), and crash
+recovery over v2-encoded volumes.
 """
-
-import json
 
 import pytest
 
@@ -16,19 +14,18 @@ from repro.core.crypto import Authority
 from repro.core.datatypes import FieldDef, PDType
 from repro.core.membrane import membrane_for_type
 from repro.core.views import View
+from repro.storage.cache import CacheConfig
 from repro.storage.codec import (
-    ENCODING_V1,
     ENCODING_V2,
     RecordCodec,
     codec_for_format,
-    decode_any,
     decode_record_v1,
     encode_record_v1,
     is_v2_payload,
 )
 from repro.storage.crashsim import CrashSim
 from repro.storage.dbfs import DatabaseFS
-from repro.storage.query import DataQuery, StoreRequest, UpdateRequest
+from repro.storage.query import DataQuery, StoreRequest
 
 DED = AccessCredential(holder="codec-ded", is_ded=True)
 
@@ -106,10 +103,6 @@ class TestPartialDecode:
         raw = codec.encode({"name": "Ada"})
         assert codec.decode_fields(raw, ["ghost"]) == {}
 
-    def test_v1_row_falls_back_to_projection(self, codec):
-        raw = encode_record_v1({"name": "Ada", "year": 1815})
-        assert codec.decode_fields(raw, ["year"]) == {"year": 1815}
-
 
 class TestSchemaEvolutionRows:
     def test_short_row_decodes_against_longer_order(self):
@@ -150,6 +143,22 @@ class TestCorruption:
         with pytest.raises(errors.DBFSError):
             codec.decode(bytes(raw))
 
+    def test_non_v2_row(self, codec):
+        raw = encode_record_v1({"name": "Ada", "year": 1815})
+        with pytest.raises(errors.DBFSError):
+            codec.decode(raw)
+        with pytest.raises(errors.DBFSError):
+            codec.decode_fields(raw, ["year"])
+        # Through DBFS, record cache off so both fetch paths (projected
+        # and full) decode the row on the device.
+        fs = make_fs(cache_config=CacheConfig(record_cache_records=0))
+        ref = store_user(fs, "alice")
+        fs.inodes.rewrite_scrubbed(fs._record_index[ref.uid], raw)
+        with pytest.raises(errors.DBFSError):
+            fetch(fs, ref)
+        with pytest.raises(errors.DBFSError):
+            fs.fetch_records(DataQuery(uids=(ref.uid,)), DED)
+
 
 class TestEncodingDetection:
     def test_json_rows_never_look_like_v2(self):
@@ -157,20 +166,9 @@ class TestEncodingDetection:
         assert raw[0] == ord("{")
         assert not is_v2_payload(raw)
 
-    def test_decode_any_dispatches(self, codec):
-        record = {"name": "Ada", "blob": b"\x01\x02"}
-        assert decode_any(codec.encode(dict(record)), codec) == record
-        assert decode_any(encode_record_v1(dict(record)), codec) == record
-        assert decode_any(encode_record_v1(dict(record)), None) == record
-        assert decode_any(b"", codec) == {}
-
-    def test_decode_any_v2_without_codec_rejected(self, codec):
-        raw = codec.encode({"name": "Ada"})
-        with pytest.raises(errors.DBFSError):
-            decode_any(raw, None)
-
     def test_codec_for_format(self):
-        assert codec_for_format({"encoding": ENCODING_V1}) is None
+        with pytest.raises(errors.DBFSError):
+            codec_for_format({"encoding": "json+base64-bytes"})
         compiled = codec_for_format(
             {"encoding": ENCODING_V2, "field_order": ["a", "b"]}
         )
@@ -219,11 +217,10 @@ def evolved_user_type():
     )
 
 
-def make_fs(record_codec):
+def make_fs(**kwargs):
     authority = Authority(bits=512, seed=31)
     fs = DatabaseFS(
-        operator_key=authority.issue_operator_key("codec-op"),
-        record_codec=record_codec,
+        operator_key=authority.issue_operator_key("codec-op"), **kwargs
     )
     fs.create_type(user_type(), DED)
     return fs
@@ -255,42 +252,26 @@ def raw_public_payload(fs, ref):
 
 class TestDBFSNegotiation:
     def test_v2_descriptor_declares_encoding_and_order(self):
-        fs = make_fs("v2")
+        fs = make_fs()
         spec = fs._format_of("user")
         assert spec["encoding"] == ENCODING_V2
         assert spec["field_order"] == ["name", "ssn", "year"]
 
-    def test_v1_descriptor_declares_v1(self):
-        fs = make_fs("v1")
-        assert fs._format_of("user")["encoding"] == ENCODING_V1
-
-    def test_invalid_codec_rejected(self):
-        with pytest.raises(errors.DBFSError):
-            DatabaseFS(record_codec="v3")
-
-    @pytest.mark.parametrize("record_codec", ["v1", "v2"])
-    def test_round_trip_either_codec(self, record_codec):
-        fs = make_fs(record_codec)
+    def test_round_trip(self):
+        fs = make_fs()
         ref = store_user(fs, "alice", name="Ada-Ω", year=1815)
         assert fetch(fs, ref) == {
             "name": "Ada-Ω", "ssn": "ssn-alice", "year": 1815,
         }
 
     def test_v2_rows_are_binary_on_disk(self):
-        fs = make_fs("v2")
+        fs = make_fs()
         ref = store_user(fs, "alice")
         assert is_v2_payload(raw_public_payload(fs, ref))
 
-    def test_v1_rows_are_json_on_disk(self):
-        fs = make_fs("v1")
-        ref = store_user(fs, "alice")
-        raw = raw_public_payload(fs, ref)
-        assert not is_v2_payload(raw)
-        json.loads(raw.decode())
-
     def test_escrow_blob_is_always_v1_json(self):
         # The authority must decode escrow without operator descriptors.
-        fs = make_fs("v2")
+        fs = make_fs()
         ref = store_user(fs, "alice")
         from repro.storage.query import DeleteRequest
 
@@ -300,77 +281,35 @@ class TestDBFSNegotiation:
         assert not is_v2_payload(blob.ciphertext)
 
     def test_remount_preserves_both_codecs(self):
-        for record_codec in ("v1", "v2"):
-            fs = make_fs(record_codec)
-            ref = store_user(fs, "alice", year=1900)
-            fs.remount()
-            assert fetch(fs, ref)["year"] == 1900
+        fs = make_fs()
+        ref = store_user(fs, "alice", year=1900)
+        fs.remount()
+        assert fetch(fs, ref)["year"] == 1900
 
     def test_remount_from_device_parses_both(self):
-        for record_codec in ("v1", "v2"):
-            authority = Authority(bits=512, seed=32)
-            key = authority.issue_operator_key("codec-op")
-            fs = DatabaseFS(operator_key=key, record_codec=record_codec)
-            fs.create_type(user_type(), DED)
-            ref = store_user(fs, "alice", year=1902)
-            recovered = DatabaseFS.remount_from_device(
-                fs.device, fs.inodes, operator_key=key,
-                record_codec=record_codec,
-            )
-            assert fetch(recovered, ref)["year"] == 1902
+        authority = Authority(bits=512, seed=32)
+        key = authority.issue_operator_key("codec-op")
+        fs = DatabaseFS(operator_key=key)
+        fs.create_type(user_type(), DED)
+        ref = store_user(fs, "alice", year=1902)
+        recovered = DatabaseFS.remount_from_device(
+            fs.device, fs.inodes, operator_key=key,
+        )
+        assert fetch(recovered, ref)["year"] == 1902
 
 
 class TestMixedEncodingTables:
-    def test_evolve_upgrades_v1_table_to_v2(self):
-        fs = make_fs("v1")
-        old_ref = store_user(fs, "alice", year=1815)
-        assert not is_v2_payload(raw_public_payload(fs, old_ref))
-
-        fs.evolve_type(evolved_user_type(), DED)
-        spec = fs._format_of("user")
-        assert spec["encoding"] == ENCODING_V2
-        # The v1 descriptor carried no order, so the upgrade sorts all.
-        assert spec["field_order"] == ["name", "phone", "ssn", "year"]
-
-        new_ref = store_user(fs, "bob", year=1990,
-                             pd_type=evolved_user_type())
-        assert is_v2_payload(raw_public_payload(fs, new_ref))
-
-        # Both encodings live in one table; both read correctly.
-        assert fetch(fs, old_ref)["year"] == 1815
-        assert fetch(fs, new_ref)["year"] == 1990
-
     def test_v2_evolution_appends_order_at_tail(self):
         # Ordinals of already-written v2 rows must never move.
-        fs = make_fs("v2")
+        fs = make_fs()
         ref = store_user(fs, "alice", year=1815)
         fs.evolve_type(evolved_user_type(), DED)
         spec = fs._format_of("user")
         assert spec["field_order"] == ["name", "ssn", "year", "phone"]
         assert fetch(fs, ref)["year"] == 1815
 
-    def test_update_migrates_v1_straggler_to_v2(self):
-        fs = make_fs("v1")
-        ref = store_user(fs, "alice", year=1815)
-        fs.evolve_type(evolved_user_type(), DED)
-        fs.update(UpdateRequest(ref.uid, {"phone": "+33-1"}), DED)
-        assert is_v2_payload(raw_public_payload(fs, ref))
-        record = fetch(fs, ref)
-        assert record["phone"] == "+33-1"
-        assert record["year"] == 1815
-
-    def test_mixed_table_survives_remount(self):
-        fs = make_fs("v1")
-        old_ref = store_user(fs, "alice", year=1815)
-        fs.evolve_type(evolved_user_type(), DED)
-        new_ref = store_user(fs, "bob", year=1990,
-                             pd_type=evolved_user_type())
-        fs.remount()
-        assert fetch(fs, old_ref)["year"] == 1815
-        assert fetch(fs, new_ref)["year"] == 1990
-
     def test_sensitive_fields_stay_separate_under_v2(self):
-        fs = make_fs("v2")
+        fs = make_fs()
         ref = store_user(fs, "alice")
         raw = raw_public_payload(fs, ref)
         assert b"ssn-alice" not in raw
@@ -382,22 +321,19 @@ class TestMixedEncodingTables:
 
 
 class TestCrashRecoveryByCodec:
-    """Power cut mid-store must not corrupt either codec's rows.
+    """Power cut mid-store must not corrupt v2 rows.
 
-    The full every-write-index sweeps in test_crash_consistency.py run
-    on the v2 default; here a strided sweep pins each codec explicitly
-    so a regression in either wire format is caught by name.
+    The full every-write-index sweeps in test_crash_consistency.py
+    cover every write; here a strided sweep and a few sharded spot
+    checks catch a wire-format regression by name.
     """
 
-    @pytest.mark.parametrize("record_codec", ["v1", "v2"])
-    def test_strided_sweep(self, record_codec):
-        report = CrashSim(
-            shard_count=1, record_codec=record_codec
-        ).sweep(stride=7)
+    def test_strided_sweep(self):
+        report = CrashSim(shard_count=1).sweep(stride=7)
         assert report.passed, report.failing_trials()
 
     def test_v2_sharded_spot_checks(self):
-        sim = CrashSim(shard_count=2, record_codec="v2")
+        sim = CrashSim(shard_count=2)
         format_writes, total = sim.measure()
         midpoint = format_writes + (total - format_writes) // 2
         for cut_after in (format_writes, midpoint, total - 1):

@@ -12,6 +12,9 @@ no "mostly correct under load" allowances:
   scrubbed payload;
 * the indexed and scan select paths must agree on records no writer
   touches, and may disagree only on uids the writers own;
+* a store is invisible to an older snapshot from the moment a reader
+  can find it (deterministic: the select runs inside the store's
+  journal commit);
 * the CrashSim invariants must hold when every workload op travels
   through a RequestEngine worker instead of the caller's thread.
 """
@@ -311,6 +314,50 @@ class TestIndexScanEquivalence:
             snapshot.release()
         # The live view, by contrast, has grown.
         assert len(fleet.select_uids("user", Predicate("year", "eq", 2000), DED)) > 15
+
+
+class TestStorePublishWindow:
+    @pytest.mark.parametrize("shard_count", [1, 2], ids=["dbfs", "fleet"])
+    def test_snapshot_select_skips_store_in_commit_window(self, shard_count):
+        """A store is invisible to an older snapshot from the moment a
+        reader can find it, not only once its journal commit returns.
+
+        Deterministic: the journal commit of the fourth store first
+        runs the snapshot-scoped select on a second thread.
+        """
+        if shard_count == 1:
+            authority = Authority(bits=512, seed=83)
+            fs = DatabaseFS(
+                operator_key=authority.issue_operator_key("window-op")
+            )
+            fs.create_type(make_type(), DED)
+        else:
+            fs = make_fleet(shard_count=shard_count, seed=83)
+        predicate = Predicate("year", "eq", 2000)
+        for i in range(3):
+            store(fs, f"pre-{i}", year=2000)
+        snapshot = fs.begin_snapshot()
+        in_window = []
+
+        def select_on_second_thread():
+            reader = threading.Thread(target=lambda: in_window.append(
+                fs.select_uids("user", predicate, DED, snapshot=snapshot)
+            ))
+            reader.start()
+            reader.join(timeout=30.0)
+
+        for shard in fs.shards:
+            def commit(_commit=shard.journal.commit):
+                select_on_second_thread()
+                return _commit()
+            shard.journal.commit = commit
+        try:
+            store(fs, "late", year=2000)
+            after = fs.select_uids("user", predicate, DED, snapshot=snapshot)
+        finally:
+            snapshot.release()
+        assert len(after) == 3
+        assert in_window == [after]
 
 
 class TestParallelStoreIntegrity:

@@ -298,6 +298,29 @@ class TestDriverRetry:
 
 
 # ---------------------------------------------------------------------------
+# Volume roots
+# ---------------------------------------------------------------------------
+
+
+class TestVolumeRoots:
+    @pytest.mark.parametrize(
+        "role",
+        ["subjects-root", "schema-root", "formats-root", "indexes-root"],
+    )
+    def test_missing_root_is_not_a_volume(self, role):
+        """Every DBFS volume carries all four roots; lacking one, the
+        remount refuses the volume instead of inventing the root."""
+        fs = DatabaseFS()
+        fs.create_type(reference_type(), DED)
+        for number in fs.inodes.numbers():
+            attrs = fs.inodes.get(number).attrs
+            if attrs.get("role") == role:
+                del attrs["role"]
+        with pytest.raises(errors.DBFSError, match=role):
+            DatabaseFS.remount_from_device(fs.device, fs.inodes)
+
+
+# ---------------------------------------------------------------------------
 # Degraded-shard isolation
 # ---------------------------------------------------------------------------
 

@@ -142,7 +142,7 @@ class TestCommands:
     def test_gdprbench_v1_codec(self, capsys):
         assert main(
             ["gdprbench", "--records", "4", "--ops", "6",
-             "--personas", "customer", "--codec", "v1"]
+             "--personas", "customer"]
         ) == 0
         assert "rgpdos" in capsys.readouterr().out
 
@@ -230,10 +230,9 @@ class TestExplainCommand:
 
     def test_v1_codec_plan(self, capsys):
         assert main(
-            ["explain", "user", "city == Lyon", "--records", "20",
-             "--codec", "v1"]
+            ["explain", "user", "city == Lyon", "--records", "20"]
         ) == 0
-        assert "codec=v1" in capsys.readouterr().out
+        assert "strategy: index (records=20)" in capsys.readouterr().out
 
     def test_bad_predicate_rejected(self, capsys):
         assert main(["explain", "user", "not-a-predicate"]) == 2
