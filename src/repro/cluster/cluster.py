@@ -871,7 +871,6 @@ class ReplicatedCluster:
                 cache_config=self.system.cache_config,
                 journal_config=getattr(shards[0].journal, "config", None),
                 telemetry=self.telemetry,
-                ttl_observers=store.fleet_ttl_observers,
             )
         return DatabaseFS.remount_from_device(
             store.device,

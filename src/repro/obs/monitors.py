@@ -40,7 +40,7 @@ from typing import (
 
 from .. import errors
 from ..core.active_data import AccessCredential, PDRef
-from ..core.membrane import overdue_membranes
+from ..core.membrane import Membrane, overdue_membranes
 from ..kernel.timerwheel import TimerWheel
 from .evidence import EvidenceTrail
 
@@ -296,11 +296,12 @@ class JournalBoundWatcherMonitor(Monitor):
 
     name = "journal-watcher"
 
-    def __init__(self, dbfs, telemetry: "Telemetry",
-                 warn_utilization: float = 0.8) -> None:
+    #: Worst-shard journal utilisation that raises the warning.
+    warn_utilization = 0.8
+
+    def __init__(self, dbfs, telemetry: "Telemetry") -> None:
         self.dbfs = dbfs
         self.telemetry = telemetry
-        self.warn_utilization = warn_utilization
         self._last_warned: Optional[bool] = None
 
     def tick(self, now: float) -> Optional[Mapping[str, object]]:
@@ -334,10 +335,10 @@ class ExpiryDaemon(Monitor):
 
     Every membrane with a TTL is indexed in a hierarchical
     :class:`~repro.kernel.timerwheel.TimerWheel` by its absolute
-    expiry deadline (fed on store/evolve/transfer through the DBFS TTL
-    observer hook, and on remount via :meth:`seed`).  Each tick
-    advances the wheel to the shared clock's ``now`` and drains the
-    due deadlines into **erasure waves**:
+    expiry deadline (fed from each shard's mutation stream, and seeded
+    from the membranes by :meth:`rebind`).  Each tick advances the
+    wheel to the shared clock's ``now`` and drains the due deadlines
+    into ``escrow``-mode **erasure waves**:
 
     * bounded at ``wave_size`` records each, so foreground traffic
       never stalls behind a mass expiry;
@@ -362,6 +363,7 @@ class ExpiryDaemon(Monitor):
     """
 
     name = "expiry-daemon"
+    mode = "escrow"
 
     def __init__(
         self,
@@ -372,8 +374,6 @@ class ExpiryDaemon(Monitor):
         telemetry: "Telemetry",
         engine=None,
         wave_size: int = 64,
-        mode: str = "escrow",
-        wheel: Optional[TimerWheel] = None,
     ) -> None:
         self.dbfs = dbfs
         self.clock = clock
@@ -382,10 +382,6 @@ class ExpiryDaemon(Monitor):
         self.telemetry = telemetry
         self.engine = engine
         self.wave_size = max(1, wave_size)
-        self.mode = mode
-        self.wheel = wheel if wheel is not None else TimerWheel(
-            start=clock.now()
-        )
         self._ded = AccessCredential(holder="expiry-daemon", is_ded=True)
         self._lock = threading.Lock()
         self._backlog: Deque[str] = deque()
@@ -394,18 +390,23 @@ class ExpiryDaemon(Monitor):
         self.erased_total = 0
         self.shed_waves = 0
         self.wave_seqs: Deque[int] = deque(maxlen=16)
-        hook = getattr(dbfs, "add_ttl_observer", None)
-        if hook is not None:
-            hook(self._on_ttl_event)
-        self.seed()
+        self.rebind(dbfs)
 
     # -- wheel feeding ---------------------------------------------------
 
-    def _on_ttl_event(
-        self, uid: str, subject_id: str, deadline: Optional[float]
-    ) -> None:
-        """DBFS TTL observer: store/evolve/transfer reschedule, erase
-        cancels.  Runs on whatever thread mutated the store."""
+    def _on_mutation(self, op: str, payload: Mapping[str, object]) -> None:
+        """Mutation-stream subscriber: store and membrane updates
+        reschedule (or cancel, once erased or TTL-free), delete
+        cancels, every other op is ignored.  Runs on whatever thread
+        mutated the store."""
+        if op == "delete":
+            deadline = None
+        elif op in ("store", "membrane_update"):
+            membrane = Membrane.from_json(payload["membrane_json"])
+            deadline = None if membrane.erased else membrane.expiry_deadline()
+        else:
+            return
+        uid = payload["uid"]
         with self._lock:
             if deadline is None:
                 self.wheel.cancel(uid)
@@ -413,8 +414,8 @@ class ExpiryDaemon(Monitor):
                 self.wheel.schedule(uid, deadline)
 
     def seed(self) -> int:
-        """(Re)index every live TTL'd membrane — construction and
-        post-remount feeding.  Returns the number indexed."""
+        """(Re)index every live TTL'd membrane (see :meth:`rebind`).
+        Returns the number indexed."""
         count = 0
         with self._lock:
             for uid, membrane in self.dbfs.iter_membranes(self._ded):
@@ -427,28 +428,32 @@ class ExpiryDaemon(Monitor):
         return count
 
     def rebind(self, dbfs, builtins=None) -> int:
-        """Re-attach after a true-crash remount.
+        """Attach to ``dbfs``: construction, and the one re-attach path
+        after a true-crash remount.
 
         An in-place ``remount()`` keeps the store object, so the
-        daemon's observer registration and wheel survive on their own.
+        daemon's subscription and wheel survive on their own.
         ``remount_from_device`` / ``remount_from_devices`` build
-        *fresh* store objects with empty observer lists — without this
-        call the daemon would keep feeding a dead store's wheel and
-        never hear another TTL event.  Re-registers the TTL hook on
-        the new store, swaps in a fresh wheel (stale pre-crash entries
-        drop), re-seeds it from the recovered membranes, and clears
-        the backlog of uids that may no longer exist.  Returns the
-        number of deadlines re-indexed.
+        *fresh* store objects with no subscribers — without this call
+        the daemon would keep feeding a dead store's wheel and never
+        hear another store or erasure.  Unsubscribes from the previous
+        store's shards (so a rebind never stacks a second
+        registration), subscribes to the mutation stream of each of
+        ``dbfs.shards``, swaps in a fresh wheel (stale pre-crash
+        entries drop), re-seeds it from the recovered membranes, and
+        clears the backlog of uids that may no longer exist.  Returns
+        the number of deadlines indexed.
         """
+        for shard in self.dbfs.shards:
+            shard.remove_mutation_observer(self._on_mutation)
         with self._lock:
             self.dbfs = dbfs
             if builtins is not None:
                 self.builtins = builtins
             self.wheel = TimerWheel(start=self.clock.now())
             self._backlog.clear()
-        hook = getattr(dbfs, "add_ttl_observer", None)
-        if hook is not None:
-            hook(self._on_ttl_event)
+        for shard in dbfs.shards:
+            shard.add_mutation_observer(self._on_mutation)
         return self.seed()
 
     @property

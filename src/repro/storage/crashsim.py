@@ -188,13 +188,8 @@ class CrashSim:
             )
         return injector, devices, fs
 
-    def _inode_tables(self, fs: object) -> List[object]:
-        if isinstance(fs, DatabaseFS):
-            return [fs.inodes]
-        return [shard.inodes for shard in fs._shards]  # type: ignore[union-attr]
-
     def _remount(self, fs: object, devices: Sequence[FaultyBlockDevice]) -> object:
-        tables = self._inode_tables(fs)
+        tables = [shard.inodes for shard in fs.shards]  # type: ignore[union-attr]
         if self.shard_count == 1:
             return DatabaseFS.remount_from_device(
                 devices[0],
@@ -246,10 +241,7 @@ class CrashSim:
         progress.append("store:0")
         uids[1] = self._store(fs, 1)
         progress.append("store:1")
-        batch_ctx = (
-            fs.batch() if isinstance(fs, ShardedDBFS) else fs.journal.batch()
-        )
-        with batch_ctx:
+        with fs.batch():  # type: ignore[union-attr]
             uids[2] = self._store(fs, 2)
             uids[3] = self._store(fs, 3)
         progress.append("batch:2,3")

@@ -273,16 +273,14 @@ class DatabaseFS:
         """
         self._write_lock = threading.RLock()
         self._index_lock = threading.RLock()
-        # TTL observers survive an in-place remount (the registrations
-        # belong to daemons, not to the derived state _init_volatile
-        # rebuilds); remount_from_device starts with a fresh list, and
-        # the expiry daemon re-seeds its wheel from the membranes
-        # (ExpiryDaemon.rebind is the re-attach path for that case).
-        self.ttl_observers: List[Callable[[str, str, Optional[float]], None]] = []
-        # Mutation observers: the replication capture point.  Each
-        # fires *after* a mutation's journal transaction commits, with
+        # Mutation observers: the one post-commit hook.  Each fires
+        # *after* a mutation's journal transaction commits, with
         # (op, payload) sufficient to replay the op on another node.
-        # Same lifecycle as ttl_observers.
+        # The registrations belong to subscribers, not to the derived
+        # state _init_volatile rebuilds, so they survive an in-place
+        # remount; remount_from_device starts with an empty list, and
+        # each subscriber re-attaches itself (ExpiryDaemon.rebind, the
+        # cluster's capture tap).
         self.mutation_observers: List[
             Callable[[str, Dict[str, object]], None]
         ] = []
@@ -1181,9 +1179,6 @@ class DatabaseFS:
             raise
         self.stats.stores += 1
         self.journal.commit()
-        # TTL observers (the expiry daemon's timer wheel) hear about
-        # the new deadline only after the record is durably committed.
-        self._notify_ttl(uid, membrane.subject_id, membrane.expiry_deadline())
         self._notify_mutation(
             "store",
             {
@@ -1394,15 +1389,6 @@ class DatabaseFS:
         # Chain entry lands after the journal commit: revocation and
         # RTBF become visible to every snapshot begun from here on.
         self.mvcc.stamp_membrane(uid, old_json, encoded)  # type: ignore[arg-type]
-        # An erasure cancels the TTL timer (nothing left to expire);
-        # any other membrane change re-indexes the (possibly evolved)
-        # deadline.  put_membrane is the single membrane-persist path,
-        # so every TTL-bearing mutation funnels through here.
-        self._notify_ttl(
-            uid,
-            membrane.subject_id,
-            None if membrane.erased else membrane.expiry_deadline(),
-        )
         self._notify_mutation(
             "membrane_update",
             {
@@ -1412,40 +1398,29 @@ class DatabaseFS:
             },
         )
 
-    def add_ttl_observer(
-        self, observer: Callable[[str, str, Optional[float]], None]
-    ) -> None:
-        """Subscribe to TTL deadline changes.
-
-        ``observer(uid, subject_id, deadline)`` fires after every
-        committed store or membrane update; ``deadline`` is the
-        absolute expiry instant (:meth:`Membrane.expiry_deadline`) or
-        ``None`` when the PD has no TTL any more (no TTL set, or the
-        membrane was just erased — either way the timer should drop).
-        The expiry daemon's timer wheel is the intended subscriber.
-        """
-        self.ttl_observers.append(observer)
-
-    def _notify_ttl(
-        self, uid: str, subject_id: str, deadline: Optional[float]
-    ) -> None:
-        for observer in self.ttl_observers:
-            observer(uid, subject_id, deadline)
-
     def add_mutation_observer(
         self, observer: Callable[[str, Dict[str, object]], None]
     ) -> None:
-        """Subscribe to committed mutations (the replication tap).
+        """Subscribe to committed mutations: DBFS's one post-commit hook.
 
         ``observer(op, payload)`` fires after each mutating operation's
         journal transaction commits — ops: ``store``, ``update``,
         ``delete``, ``membrane_update``, ``create_type``,
         ``evolve_type``, ``create_index`` — with a payload sufficient
-        to replay the operation verbatim on a follower node
-        (``repro.cluster`` is the intended subscriber).  Payloads for
-        ``store`` carry the plaintext record only in flight; the
-        cluster's shipping log redacts them the moment an erasure for
-        the same uid is captured.
+        to replay the operation verbatim on a follower node.  Two
+        subscribers read it:
+
+        * ``repro.cluster``'s capture tap ships every op to the
+          followers.  Payloads for ``store`` carry the plaintext record
+          only in flight; the cluster's shipping log redacts them the
+          moment an erasure for the same uid is captured.
+        * :class:`~repro.obs.monitors.ExpiryDaemon` keeps its timer
+          wheel in step: ``store`` and ``membrane_update`` reschedule
+          the uid from the payload's ``membrane_json``, ``delete``
+          cancels it.
+
+        A delete's own erased-membrane write is not reported; the
+        ``delete`` op that follows it stands for both.
         """
         self.mutation_observers.append(observer)
 

@@ -142,12 +142,6 @@ class ShardedDBFS:
         #: Per-shard crash-reconciliation reports of the last
         #: remount_from_devices (empty for a normally built fleet).
         self.recovery_report: Dict[str, object] = {}
-        # Fleet-level retention of TTL observer registrations, so a
-        # true-crash remount can carry them over to the fresh shard
-        # objects it builds (see remount_from_devices ttl_observers=).
-        self._fleet_ttl_observers: List[
-            Callable[[str, str, Optional[float]], None]
-        ] = []
 
     @classmethod
     def remount_from_devices(
@@ -158,9 +152,6 @@ class ShardedDBFS:
         cache_config: Optional[CacheConfig] = None,
         journal_config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        ttl_observers: Sequence[
-            Callable[[str, str, Optional[float]], None]
-        ] = (),
     ) -> "ShardedDBFS":
         """True-crash remount of a whole fleet, shard by shard.
 
@@ -174,14 +165,9 @@ class ShardedDBFS:
         reconciliation reports (and the degraded map) land in
         :attr:`recovery_report`.
 
-        ``ttl_observers`` (usually the crashed fleet's
-        :attr:`fleet_ttl_observers`) are re-registered on every
-        recovered shard, so daemons subscribed before the crash keep
-        hearing TTL events on the sharded path exactly as they do
-        across a single-DBFS in-place remount.  The observers' *wheel
-        state* is still stale — pair this with
-        ``ExpiryDaemon.rebind`` to re-seed from the recovered
-        membranes.
+        The recovered shards start with no mutation observers: each
+        subscriber of the crashed fleet re-attaches itself
+        (``ExpiryDaemon.rebind``, the cluster's capture tap).
         """
         if not devices or len(devices) != len(inode_tables):
             raise errors.DBFSError(
@@ -199,7 +185,6 @@ class ShardedDBFS:
         fleet._uid_shard = {}
         fleet._uid_lock = threading.Lock()
         fleet._fanout = None
-        fleet._fleet_ttl_observers = list(ttl_observers)
         for index, (device, inodes) in enumerate(zip(devices, inode_tables)):
             try:
                 shard = DatabaseFS.remount_from_device(
@@ -219,9 +204,6 @@ class ShardedDBFS:
             fleet._shards.append(shard)
             for uid in shard.all_uids():
                 fleet._uid_shard[uid] = index
-        for observer in fleet._fleet_ttl_observers:
-            for _, shard in fleet._healthy():
-                shard.add_ttl_observer(observer)
         torn_batches = fleet._resolve_torn_fleet_batches()
         fleet.recovery_report = {
             "shards": len(fleet._shards),
@@ -512,29 +494,6 @@ class ShardedDBFS:
                 total[key] = total.get(key, 0) + value
         total["cycle_complete"] = complete
         return total
-
-    def add_ttl_observer(
-        self, observer: Callable[[str, str, Optional[float]], None]
-    ) -> None:
-        """Subscribe to TTL deadline changes on every shard.
-
-        One observer hears the whole fleet: the expiry daemon keeps a
-        single timer wheel and routes each firing back to the owning
-        shard through ``subjects_by_shard``.  The registration is also
-        retained fleet-side (``_fleet_ttl_observers``) so
-        :meth:`remount_from_devices` can re-attach observers to the
-        fresh shard objects it builds — see ``ExpiryDaemon.rebind``.
-        """
-        self._fleet_ttl_observers.append(observer)
-        for _, shard in self._healthy():
-            shard.add_ttl_observer(observer)
-
-    @property
-    def fleet_ttl_observers(
-        self,
-    ) -> List[Callable[[str, str, Optional[float]], None]]:
-        """The registrations to carry into ``remount_from_devices``."""
-        return list(self._fleet_ttl_observers)
 
     def has_index(self, type_name: str, field_name: str) -> bool:
         return self._primary().has_index(type_name, field_name)

@@ -3,7 +3,7 @@
 The daemon's contract, each part tested here:
 
 * **Feeding** — construction seeds the wheel from the live store; the
-  DBFS TTL observer keeps it fed on store (schedule) and erase
+  DBFS mutation stream keeps it fed on store (schedule) and erase
   (cancel) without rescanning.
 * **Waves** — due deadlines drain into erasure waves bounded at
   ``wave_size``, one journal group commit per shard per wave, each
@@ -82,6 +82,16 @@ class TestFeeding:
         small_system.rights.erase("alice")
         assert daemon.pending == 1
 
+    def test_membrane_update_reschedules_timer(self, small_system):
+        daemon = make_daemon(small_system)
+        uid, membrane = next(iter(small_system.dbfs.iter_membranes(DED)))
+        membrane.ttl_seconds = 10.0
+        small_system.dbfs.put_membrane(uid, membrane, DED)
+        small_system.advance_time(10.0)
+        daemon.tick(small_system.clock.now())
+        assert daemon.erased_total == 1
+        assert daemon.pending == 1
+
     def test_observer_survives_in_place_remount(self, small_system):
         """An in-place ``remount()`` (journal replay on the same
         instance) must not drop observer registrations: the daemon
@@ -95,6 +105,13 @@ class TestFeeding:
             subject_id="carol", method="web_form",
         )
         assert daemon.pending == 3
+
+    def test_rebind_to_same_store_subscribes_once(self, small_system):
+        daemon = make_daemon(small_system)
+        small_system.dbfs.remount()
+        daemon.rebind(small_system.dbfs)
+        observers = small_system.dbfs.mutation_observers
+        assert observers.count(daemon._on_mutation) == 1
 
 
 class TestWaves:

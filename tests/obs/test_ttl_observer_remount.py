@@ -1,15 +1,16 @@
-"""Regression (PR 10 satellite): TTL observers and the expiry daemon's
-wheel must survive a true-crash ``remount_from_devices`` on the sharded
-path.
+"""Regression: the expiry daemon must keep hearing the store after a
+true-crash ``remount_from_devices`` on the sharded path, exactly once.
 
-Before the fix, ``ShardedDBFS.remount_from_devices`` built brand-new
-shard objects with empty observer lists: a daemon subscribed before
-the crash silently stopped hearing store/erase events, so new PD was
-never scheduled for expiry (an Art. 5(1)(e) hole).  The fleet now
-retains its registrations (``fleet_ttl_observers``) for the remount to
-carry over, and ``ExpiryDaemon.rebind`` re-points the daemon at the
-recovered fleet and re-seeds a fresh wheel from the recovered
-membranes.
+``remount_from_devices`` builds brand-new shard objects with empty
+mutation-observer lists: a daemon subscribed before the crash would
+silently stop hearing stores and erasures, so new PD would never be
+scheduled for expiry (an Art. 5(1)(e) hole).  ``ExpiryDaemon.rebind``
+is the one re-attach path: it re-points the daemon at the recovered
+fleet, subscribes to each shard's mutation stream, and re-seeds a
+fresh wheel from the recovered membranes.  Every crash cycle must end
+with one registration per shard: a re-attach path that stacks another
+one on each cycle is invisible to the wheel's state (reschedule
+replaces), so the registration test counts schedule calls instead.
 """
 
 import pytest
@@ -54,7 +55,7 @@ def make_daemon(system):
 
 
 def crash_remount(system):
-    """True-crash recovery of the fleet, carrying observer registrations."""
+    """True-crash recovery of the fleet from device bytes alone."""
     old = system.dbfs
     return ShardedDBFS.remount_from_devices(
         [shard.device for shard in old.shards],
@@ -62,22 +63,35 @@ def crash_remount(system):
         operator_key=system.operator_key,
         cache_config=system.cache_config,
         telemetry=system.telemetry,
-        ttl_observers=old.fleet_ttl_observers,
     )
 
 
-class TestObserverRetention:
-    def test_fleet_retains_registrations(self, sharded_system):
+class TestSingleRegistration:
+    def test_one_schedule_per_store_after_crash_cycles(
+        self, sharded_system, monkeypatch
+    ):
         daemon = make_daemon(sharded_system)
-        observers = sharded_system.dbfs.fleet_ttl_observers
-        assert daemon._on_ttl_event in observers
+        for _ in range(3):
+            recovered = crash_remount(sharded_system)
+            daemon.rebind(recovered, builtins=sharded_system.ps.builtins)
+            sharded_system.dbfs = recovered
+            sharded_system.ps.builtins.dbfs = recovered
+            sharded_system.rights.dbfs = recovered
+        scheduled = []
+        schedule = daemon.wheel.schedule
 
-    def test_remount_carries_observers_to_new_shards(self, sharded_system):
-        make_daemon(sharded_system)
-        recovered = crash_remount(sharded_system)
-        assert len(recovered.fleet_ttl_observers) == 1
-        for shard in recovered.shards:
-            assert recovered.fleet_ttl_observers[0] in shard.ttl_observers
+        def counting_schedule(uid, deadline):
+            scheduled.append(uid)
+            return schedule(uid, deadline)
+
+        monkeypatch.setattr(daemon.wheel, "schedule", counting_schedule)
+        sharded_system.collect(
+            "user",
+            {"name": "After Three Crashes", "pwd": "a3-pwd",
+             "year_of_birthdate": 1990},
+            subject_id="after-three", method="web_form",
+        )
+        assert len(scheduled) == 1
 
 
 class TestRebind:
