@@ -311,9 +311,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
     print(f"query: {args.type} WHERE "
           + (" AND ".join(p.describe() for p in predicates) or "<all rows>"))
     print(f"strategy: {described['strategy']} (records={args.records})")
-    if plan.index_field is not None:
+    if plan.lookups:
         print(f"index used: {args.type}.{plan.index_field} "
-              f"driving {plan.index_predicate.describe()}")
+              f"driving {plan.lookups[0].describe()}")
+        print("index lookups (cheapest drives, the rest intersect):")
+        for lookup in plan.lookups:
+            print(f"  {lookup.describe():40s} ~{lookup.estimated_rows} row(s)")
     else:
         print("index used: none (full table scan)")
     print(f"estimated rows: {plan.estimated_rows} of {plan.table_rows}")
@@ -326,10 +329,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
           + (", ".join(fields) if fields else "none (index-only)"))
     print(f"decodes: partial={stats.partial_decodes - partial_before} "
           f"full={stats.full_decodes - full_before}")
-    if described["candidate_estimates"]:
-        print("candidate indexes considered:")
-        for name, estimate in sorted(described["candidate_estimates"].items()):
-            print(f"  {name:40s} ~{estimate} row(s)")
     return 0
 
 

@@ -495,11 +495,11 @@ class DataExecutionDomain:
                 matching = self.dbfs.select_uids_where(
                     type_name, predicates, self.credential
                 )
-            uids = (
-                tuple(uid for uid in matching if uid in set(uids))
-                if uids is not None
-                else tuple(matching)
-            )
+            if uids is None:
+                uids = tuple(matching)
+            else:
+                targeted = set(uids)
+                uids = tuple(uid for uid in matching if uid in targeted)
         return (
             MembraneQuery(pd_type=type_name, subject_id=subject_id, uids=uids),
             pd_type,

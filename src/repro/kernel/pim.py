@@ -24,7 +24,7 @@ which the paper cites for the idea).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from .. import errors
 
@@ -133,7 +133,8 @@ class DEDPlacer:
         self.sites = sites or default_sites()
         if SITE_HOST not in self.sites:
             raise errors.KernelError("a host site is mandatory")
-        self.decisions: List[PlacementDecision] = []
+        #: decisions per chosen site; :meth:`placement_report` reads it
+        self._site_counts: Dict[str, int] = {}
 
     def place(
         self,
@@ -153,7 +154,7 @@ class DEDPlacer:
             bytes_per_record=bytes_per_record,
             compute_intensity=compute_intensity,
         )
-        self.decisions.append(decision)
+        self._site_counts[best] = self._site_counts.get(best, 0) + 1
         return decision
 
     def crossover_records(
@@ -191,7 +192,5 @@ class DEDPlacer:
         return high
 
     def placement_report(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for decision in self.decisions:
-            counts[decision.site] = counts.get(decision.site, 0) + 1
-        return counts
+        """How many placements chose each site."""
+        return dict(self._site_counts)

@@ -258,6 +258,39 @@ class BTree:
         return depths.pop() + 1
 
 
+def estimate_range(index, low: Optional[object],
+                   high: Optional[object]) -> int:
+    """Estimated entries of ``index`` (a :class:`FieldIndex` or
+    :class:`DurableFieldIndex`) with values between ``low`` and
+    ``high``; None leaves that end open.
+
+    Interpolates under a uniform distribution over the index's tracked
+    min/max when every value involved is numeric, and falls back to
+    half the entries otherwise.  The one-bound range estimates of both
+    index classes and the planner's two-bound ones all come from here.
+    """
+    entries = len(index)
+    if entries == 0:
+        return 0
+    lo, hi = index.min_value(), index.max_value()
+    numeric = all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        for v in (lo, hi, low, high) if v is not None
+    )
+    if not numeric:
+        return max(1, entries // 2)
+
+    def below(value: object) -> int:
+        if hi == lo:
+            return entries if value > lo else 0  # type: ignore[operator]
+        fraction = (value - lo) / (hi - lo)  # type: ignore[operator]
+        return int(entries * min(1.0, max(0.0, fraction)))
+
+    top = entries if high is None else below(high)
+    bottom = 0 if low is None else below(low)
+    return min(entries, max(0, top - bottom))
+
+
 @dataclass
 class FieldIndex:
     """One secondary index: B-tree over (field value, uid).
@@ -365,26 +398,11 @@ class FieldIndex:
                 return entries - self.value_counts.get(value, 0)
         except TypeError:  # unhashable probe value
             return entries
-        if op not in ("lt", "le", "gt", "ge"):
-            return entries
-        lo, hi = self.min_value(), self.max_value()
-        numeric = all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in (lo, hi, value)
-        )
-        if not numeric:
-            return max(1, entries // 2)
-        if hi == lo:
-            below = entries if value > lo else 0  # type: ignore[operator]
-        else:
-            fraction = (value - lo) / (hi - lo)  # type: ignore[operator]
-            fraction = min(1.0, max(0.0, fraction))
-            below = int(entries * fraction)
         if op in ("lt", "le"):
-            estimate = below
-        else:
-            estimate = entries - below
-        return min(entries, max(0, estimate))
+            return estimate_range(self, None, value)
+        if op in ("gt", "ge"):
+            return estimate_range(self, value, None)
+        return entries
 
 
 # --------------------------------------------------------------------------
@@ -985,11 +1003,21 @@ class DurableFieldIndex:
         return out
 
     def range(self, low: Optional[object] = None,
-              high: Optional[object] = None) -> List[str]:
-        """uids whose field is in ``[low, high)``."""
+              high: Optional[object] = None, *,
+              low_inclusive: bool = True,
+              high_inclusive: bool = False) -> List[str]:
+        """uids whose field is in ``[low, high)``, in index order.
+
+        The flags close or open either end (None leaves it unbounded):
+        every uid sorts between ``""`` and ``_MAX_STR``, so a bound
+        becomes the key just before or just after all of its value's
+        entries and one walk answers ``gt``/``le`` as well.
+        """
         refs = self._ensure_summaries()
-        low_key = None if low is None else (low, "")
-        high_key = None if high is None else (high, "")
+        low_key = (None if low is None
+                   else (low, "" if low_inclusive else _MAX_STR))
+        high_key = (None if high is None
+                    else (high, _MAX_STR if high_inclusive else ""))
         out: List[str] = []
         for index in self._overlapping(refs, low_key, high_key):
             entries = self._load_page(refs[index])
@@ -1050,26 +1078,11 @@ class DurableFieldIndex:
             except TypeError:  # incomparable probe value
                 return entries
             return matches if op == "eq" else entries - matches
-        if op not in ("lt", "le", "gt", "ge"):
-            return entries
-        lo, hi = self.min_value(), self.max_value()
-        numeric = all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in (lo, hi, value)
-        )
-        if not numeric:
-            return max(1, entries // 2)
-        if hi == lo:
-            below = entries if value > lo else 0  # type: ignore[operator]
-        else:
-            fraction = (value - lo) / (hi - lo)  # type: ignore[operator]
-            fraction = min(1.0, max(0.0, fraction))
-            below = int(entries * fraction)
         if op in ("lt", "le"):
-            estimate = below
-        else:
-            estimate = entries - below
-        return min(entries, max(0, estimate))
+            return estimate_range(self, None, value)
+        if op in ("gt", "ge"):
+            return estimate_range(self, value, None)
+        return entries
 
     def stats(self) -> Dict[str, object]:
         refs = self._ensure_summaries()

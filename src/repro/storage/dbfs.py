@@ -75,7 +75,14 @@ from .block import BlockDevice, store_bytes
 from .btree import BloomFilter, DurableFieldIndex, bloom_key
 from .cache import MISSING, CacheConfig, DEFAULT_CACHE_CONFIG, LRUCache
 from .codec import ENCODING_V2, RecordCodec, codec_for_format, encode_record_v1
-from .planner import STRATEGY_INDEX, QueryPlan, compile_residual, plan_query
+from .planner import (
+    INDEXABLE_OPS,
+    STRATEGY_INDEX,
+    IndexLookup,
+    QueryPlan,
+    compile_residual,
+    plan_query,
+)
 from .inode import (
     KIND_DIRECTORY,
     KIND_FORMAT,
@@ -90,12 +97,6 @@ from .inode import (
 from .journal import TXN_COMMIT, TXN_DELETE, Journal, JournalConfig
 from .mvcc import MVCCState, Snapshot
 from .query import (
-    OP_EQ,
-    OP_GE,
-    OP_GT,
-    OP_LE,
-    OP_LT,
-    OP_NE,
     DataQuery,
     DeleteRequest,
     MembraneQuery,
@@ -677,9 +678,7 @@ class DatabaseFS:
         self.get_type(type_name)
         with self._index_lock:
             index = self._field_indexes.get((type_name, predicate.field_name))
-        indexed = index is not None and predicate.op in (
-            OP_EQ, OP_NE, OP_LT, OP_LE, OP_GT, OP_GE
-        )
+        indexed = index is not None and predicate.op in INDEXABLE_OPS
         with self.telemetry.op(
             "dbfs.select", pd_type=type_name,
             field=predicate.field_name, indexed=indexed,
@@ -703,27 +702,9 @@ class DatabaseFS:
         # writer splitting a node mid-range-walk would corrupt the
         # result.  Writers hold the same lock only for their (short)
         # add/remove, so this never waits out journal or device IO.
-        value = predicate.value
+        lookup = IndexLookup.merge(predicate.field_name, (predicate,))
         with self._index_lock:
-            if predicate.op == OP_EQ:
-                return sorted(index.exact(value))
-            if predicate.op == OP_NE:
-                # Full range minus exact matches.  The index holds exactly
-                # the live records carrying the field, and a record lacking
-                # the field never matches any predicate (SQL NULL rules),
-                # so this equals the scan result without touching records.
-                return sorted(set(index.range()) - set(index.exact(value)))
-            if predicate.op == OP_LT:
-                return sorted(index.range(high=value))
-            if predicate.op == OP_GE:
-                return sorted(index.range(low=value))
-            if predicate.op == OP_LE:
-                # [min, value] == range(high=value) + exact(value)
-                return sorted(
-                    set(index.range(high=value)) | set(index.exact(value))
-                )
-            # OP_GT: (value, max] == range(low=value) minus exact(value)
-            return sorted(set(index.range(low=value)) - set(index.exact(value)))
+            return sorted(lookup.uids(index))
 
     def _select_scan(
         self,
@@ -849,14 +830,15 @@ class DatabaseFS:
     ) -> List[str]:
         """uids of live records satisfying *all* predicates (conjunction).
 
-        The planner picks the most selective indexed predicate as the
-        driving lookup (per-index cardinality stats), then evaluates
-        the residual predicates on each candidate via partial decode of
-        only the fields they touch.  With no indexable predicate the
-        whole table is scanned, but still with partial decode, so a v2
-        row never pays a full ``json.loads``-style materialisation just
-        to be rejected.  An empty predicate list selects every live
-        record of the type.
+        Every indexed field's predicates are answered by one index
+        lookup; the cheapest lookup (per-index cardinality stats)
+        drives and the others' uid sets are intersected with it.  Only
+        predicates no index answers are evaluated on the candidates,
+        via partial decode of just the fields they touch.  With no
+        indexable predicate the whole table is scanned, but still with
+        partial decode, so a v2 row never pays a full
+        ``json.loads``-style materialisation just to be rejected.  An
+        empty predicate list selects every live record of the type.
         """
         self._require_ded(credential, "select_uids_where")
         self.get_type(type_name)
@@ -896,6 +878,7 @@ class DatabaseFS:
             span.set_attrs(
                 strategy=plan.strategy,
                 index_field=plan.index_field,
+                lookups=len(plan.lookups),
                 estimated_rows=plan.estimated_rows,
                 residual=len(plan.residual),
             )
@@ -910,19 +893,34 @@ class DatabaseFS:
         batched = bool(self.scan_batch_rows)
         evaluate = compile_residual(plan.residual)
         if plan.strategy == STRATEGY_INDEX:
+            # Drive from the cheapest lookup and intersect the others'
+            # uid sets: no indexed predicate costs a row decode.  One
+            # hold of the index lock (see _select_indexed) makes every
+            # lookup see the same index state.
             with self._index_lock:
-                index = self._field_indexes[(plan.type_name, plan.index_field)]
-            candidates = self._select_indexed(index, plan.index_predicate)
+                indexes = self._field_indexes
+                first, *rest = plan.lookups
+                candidates = first.uids(
+                    indexes[(plan.type_name, first.field_name)]
+                )
+                for lookup in rest:
+                    if not candidates:
+                        break
+                    keep = set(lookup.uids(
+                        indexes[(plan.type_name, lookup.field_name)]
+                    ))
+                    candidates = [uid for uid in candidates if uid in keep]
+            candidates.sort()
             if snapshot is not None:
                 candidates = self.mvcc.visible_many(
                     candidates, snapshot.version
                 )
             if not plan.residual:
                 return candidates  # index holds live records only
-            # Residual filtering: decode just the residual fields of
-            # each candidate (the index already proved liveness and the
-            # driving predicate), a batch at a time on the zero-copy
-            # read path.
+            # Residual filtering: decode just the fields of the
+            # predicates no index answers (the lookups already proved
+            # liveness and every indexed predicate), a batch at a time
+            # on the zero-copy read path.
             with self.telemetry.span(
                 "dbfs.decode", rows=len(candidates),
                 fields=list(fields_needed),

@@ -65,12 +65,30 @@ class TestWhereClause:
 
     def test_indexed_pushdown_same_answer(self, ready):
         system, alice, bob = ready
-        predicate = Predicate("year_of_birthdate", "lt", 1988)
-        unindexed = system.invoke("birth_decade", target="user",
-                                  where=predicate)
+        wheres = [Predicate("year_of_birthdate", "lt", 1988)] + [
+            # A str value on an int field: no record matches (every
+            # record carrying the field matches ``ne``), indexed or not.
+            [Predicate("year_of_birthdate", op, "1990")]
+            for op in ("eq", "ne", "lt", "le", "gt", "ge")
+        ] + [[
+            Predicate("year_of_birthdate", "ge", "1990"),
+            Predicate("year_of_birthdate", "lt", 2000),
+        ]]
+
+        def answers():
+            out = []
+            for where in wheres:
+                logged = len(system.log)
+                result = system.invoke("birth_decade", target="user",
+                                       where=where)
+                assert len(system.log) == logged + 1
+                out.append((result.processed, result.values))
+            return out
+
+        unindexed = answers()
+        assert unindexed[1] == (0, {})
+        assert unindexed[2][0] == 2
         system.dbfs.create_index(
             "user", "year_of_birthdate", system.ps.builtins.credential
         )
-        indexed = system.invoke("birth_decade", target="user",
-                                where=predicate)
-        assert indexed.values == unindexed.values
+        assert answers() == unindexed

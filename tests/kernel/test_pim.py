@@ -1,5 +1,8 @@
 """Unit tests for DED placement (host / PIM / storage, § 3(3))."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import errors
@@ -89,3 +92,11 @@ class TestPlacer:
         report = placer.placement_report()
         assert sum(report.values()) == 3
         assert report.get(SITE_HOST, 0) >= 2
+
+    def test_placements_retain_no_per_call_objects(self, placer):
+        decisions = [
+            weakref.ref(placer.place(10 + i, 128)) for i in range(1000)
+        ]
+        gc.collect()
+        assert [ref for ref in decisions if ref() is not None] == []
+        assert placer.placement_report() == {SITE_HOST: 1000}

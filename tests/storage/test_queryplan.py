@@ -118,9 +118,58 @@ class TestPlanQuery:
         )
         assert plan.strategy == STRATEGY_INDEX
         assert plan.index_field == "city"
-        assert plan.index_predicate.field_name == "city"
+        # Both fields are indexed, so both are lookups, cheapest first;
+        # nothing is left to decode.
+        assert [(lookup.field_name, lookup.estimated_rows)
+                for lookup in plan.lookups] == [("city", 5), ("year", 50)]
         assert plan.estimated_rows == 5
-        assert [p.field_name for p in plan.residual] == ["year"]
+        assert plan.residual == ()
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["low-first", "high-first"])
+    def test_two_bounds_merge_into_one_interval(self, order):
+        year = build_index("year", range(1900, 2000))
+        bounds = (Predicate("year", "ge", 1950), Predicate("year", "lt", 1960))
+        plan = plan_query(
+            "user", bounds[::order], {"year": year}, table_rows=100
+        )
+        (lookup,) = plan.lookups
+        assert (lookup.low, lookup.high) == bounds
+        assert lookup.describe() == "year in [1950, 1960)"
+        # Estimated from both bounds, not from the looser one alone.
+        assert lookup.estimated_rows == 10
+        assert plan.residual == ()
+
+    def test_tightest_bound_wins_and_gt_le_close_the_interval(self):
+        year = build_index("year", range(1900, 2000))
+        plan = plan_query("user", (
+            Predicate("year", "ge", 1950), Predicate("year", "gt", 1950),
+            Predicate("year", "le", 1970), Predicate("year", "lt", 1980),
+            Predicate("year", "ne", 1960),
+        ), {"year": year}, table_rows=100)
+        (lookup,) = plan.lookups
+        assert lookup.describe() == "year in (1950, 1970] and year ne 1960"
+
+    @pytest.mark.parametrize("predicates", [
+        (Predicate("year", "gt", 1960), Predicate("year", "le", 1960)),
+        (Predicate("year", "eq", 1950), Predicate("year", "ge", 1951)),
+        (Predicate("year", "ge", 1950), Predicate("year", "lt", "1960")),
+    ], ids=["gt-le-same-value", "eq-below-bound", "incomparable-bounds"])
+    def test_empty_interval_estimates_zero(self, predicates):
+        year = build_index("year", range(1900, 2000))
+        plan = plan_query("user", predicates, {"year": year}, table_rows=100)
+        (lookup,) = plan.lookups
+        assert lookup.empty
+        assert plan.estimated_rows == 0
+
+    def test_point_interval_is_an_exact_lookup(self):
+        year = build_index("year", [1950] * 3 + [1951] * 7)
+        plan = plan_query("user", (
+            Predicate("year", "le", 1950), Predicate("year", "ge", 1950),
+        ), {"year": year}, table_rows=10)
+        (lookup,) = plan.lookups
+        assert lookup.point
+        assert lookup.describe() == "year eq 1950"
+        assert lookup.estimated_rows == 3
 
     def test_falls_back_to_scan_without_usable_index(self):
         plan = plan_query(
@@ -169,6 +218,9 @@ class TestPlanQuery:
         json.dumps(described)
         assert described["strategy"] == "index"
         assert described["index_field"] == "year"
+        assert described["lookups"] == [
+            {"lookup": "year lt 1991", "estimated_rows": 2},
+        ]
         assert described["residual"] == ["city eq 'L'"]
 
 
@@ -313,6 +365,21 @@ class TestSelectWhere:
         )
         assert dbfs.stats.partial_decodes > before
         assert dbfs.stats.plans > 0
+
+    def test_indexed_conjunction_decodes_no_row(self, populated):
+        """A two-bound range plus ``city eq`` on two indexed fields is
+        answered from the indexes alone."""
+        dbfs, refs = populated
+        predicates = (
+            Predicate("year", "ge", 1985), Predicate("city", "eq", "Lyon"),
+            Predicate("year", "lt", 1995),
+        )
+        dbfs._record_cache.clear()
+        before = dbfs.stats.partial_decodes, dbfs.stats.full_decodes
+        planned = dbfs.select_uids_where("user", predicates, DED)
+        assert (dbfs.stats.partial_decodes, dbfs.stats.full_decodes) == before
+        assert planned == brute_force(dbfs, refs, predicates)
+        assert planned
 
 
 class TestExplain:

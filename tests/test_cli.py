@@ -204,9 +204,12 @@ class TestExplainCommand:
         assert "index used: user." in out
         assert "estimated rows:" in out
         assert "actual rows:" in out
-        assert "residual predicates:" in out
         assert "fields decoded:" in out
-        assert "candidate indexes considered:" in out
+        # Both predicates sit on indexed fields: each is an index
+        # lookup and nothing is left to decode.
+        assert "index lookups (cheapest drives, the rest intersect):" in out
+        assert "residual predicates: none" in out
+        assert "decodes: partial=0 full=0" in out
 
     def test_scan_plan_without_indexes(self, capsys):
         assert main(
