@@ -3,12 +3,13 @@
 One measurement, emitted to ``BENCH_audit.json`` in the shared
 ``bench_util`` schema: the GDPRBench ``customer`` mix on the rgpdOS
 adapter with the monitor daemon running in the background (residue
-scrubber actively sweeping for a registered needle, TTL / breach /
-journal watchers ticking on a short wall-clock interval, every
-significant tick sealed into the hash-chained evidence trail) vs the
-same mix with no monitors.  Both sides run the identical op sequence
-(same seed); min-of-N wall time absorbs scheduler noise.  The
-acceptance target: monitors-on throughput stays >= 0.9x monitors-off.
+scrubber sweeping the device for non-empty blocks no owner
+references, TTL / breach / journal watchers ticking on a short
+wall-clock interval, every significant tick sealed into the
+hash-chained evidence trail) vs the same mix with no monitors.  Both
+sides run the identical op sequence (same seed); min-of-N wall time
+absorbs scheduler noise.  The acceptance target: monitors-on
+throughput stays >= 0.9x monitors-off.
 
 Scale knobs (for the CI smoke job): ``AUDIT_BENCH_SUBJECTS``,
 ``AUDIT_BENCH_OPS``, ``AUDIT_BENCH_REPEATS``.
@@ -29,7 +30,8 @@ PERSONA = "customer"
 MIN_THROUGHPUT_RATIO = 0.9
 #: 100 ticks/second — aggressive for production (the daemon default is
 #: 20/s) but still a realistic duty cycle; each tick walks every
-#: membrane, scans the log delta and samples 64 device blocks.
+#: membrane, scans the log delta and checks 64 device blocks against
+#: the owner set.
 MONITOR_INTERVAL_SECONDS = 0.01
 
 LATENCY_OPS = ("ps.invoke", "ded.run", "dbfs.store", "journal.commit")
@@ -38,17 +40,13 @@ LATENCY_OPS = ("ps.invoke", "ded.run", "dbfs.store", "journal.commit")
 def _mix_seconds(monitors_on):
     """Wall seconds for one fresh load + customer mix run.
 
-    Both configurations register a scrubber needle (so the watchlist
-    state is identical); only the *on* configuration starts the daemon,
-    which then sweeps the device for it while the mix runs.
+    Only the *on* configuration starts the daemon, whose scrubber
+    sweeps the device while the mix runs.
     """
     adapter = RgpdOSAdapter(with_machine=False)
     runner = GDPRBenchRunner(adapter, seed=7)
     runner.load(SUBJECTS)
     system = adapter.system
-    system.residue_watchlist.register(
-        "bench-probe", [b"audit-bench-needle-value"]
-    )
     daemon = None
     if monitors_on:
         daemon = system.start_monitors(
@@ -90,7 +88,7 @@ def test_monitor_overhead_within_10pct():
     registry = on_system.telemetry.registry
     registry.collect()
     scanned = registry.counter("rgpdos.residue.scanned_blocks").value
-    assert scanned > 0, "residue scrubber never sampled a block"
+    assert scanned > 0, "residue scrubber never checked a block"
 
     rows = [
         ("config", "best_s", "per_op_ms"),

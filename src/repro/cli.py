@@ -348,8 +348,8 @@ def cmd_placement(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     """Article-indexed compliance audit of an exercised demo system.
 
-    Runs the demo workload plus one erasure (so the residue scrubber
-    has needles to watch), optionally ticks the always-on monitors,
+    Runs the demo workload plus one erasure (so the Art. 17 control
+    has erased PD to probe), optionally ticks the always-on monitors,
     then renders the :class:`~repro.obs.audit.AuditReport`.
     """
     system = _demo_system(shards=args.shards)

@@ -32,7 +32,12 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 from .. import errors
 from ..storage.dbfs import DatabaseFS
-from ..storage.query import DeleteRequest, StoreRequest, UpdateRequest
+from ..storage.query import (
+    DataQuery,
+    DeleteRequest,
+    StoreRequest,
+    UpdateRequest,
+)
 from .active_data import AccessCredential, PDRef
 from .clock import Clock
 from .datatypes import PDType
@@ -80,9 +85,8 @@ class BuiltinFunctions:
         self.log = log
         self.credential = AccessCredential(holder="rgpdos-builtins", is_ded=True)
         #: Observers called after every erasure with
-        #: ``(subject_id, needles, erased_uids, residue)`` — the
-        #: continuous residue scrubber registers the needles here so
-        #: the one-shot scan becomes an always-on invariant.
+        #: ``(subject_id, erased_uids, residue)`` — the system seals
+        #: each erasure's residue counts into its evidence trail.
         self.erase_observers: List[Callable[..., None]] = []
 
     # ------------------------------------------------------------------
@@ -206,9 +210,9 @@ class BuiltinFunctions:
             membrane.lineage = target.uid
             self.dbfs.put_membrane(target.uid, membrane, self.credential)
 
-        record = self.dbfs.fetch_records(
-            _full_record_query(target.uid, self.dbfs), self.credential
-        )[target.uid]
+        record = _full_record(
+            self.dbfs, target.uid, membrane.pd_type, self.credential
+        )
         clone = membrane.clone_for_copy(at=self.clock.now())
         ref = self.dbfs.store(
             StoreRequest(
@@ -306,7 +310,8 @@ class BuiltinFunctions:
             self.lineage_of(target.uid) if include_copies else [target.uid]
         )
         # Capture distinctive plaintext values before erasure so the
-        # residue scan has concrete needles to look for.
+        # residue scan has concrete needles to look for.  They live
+        # only for this call: no observer or report keeps them.
         needles = _needles_for(self.dbfs, victims, self.credential)
 
         erased: List[str] = []
@@ -321,14 +326,14 @@ class BuiltinFunctions:
                 PDAccess(uid=uid, subject_id=m.subject_id, mode=ACCESS_DELETED)
             )
 
-        # Residue = needle matches OUTSIDE the extents of live records.
-        # Other subjects may legitimately store the same value (a
-        # shared city name, say); those blocks are not residue of this
-        # erasure.  DBFS scopes the scan: on a sharded store only the
-        # owning shard's device and journal are searched, which is what
-        # keeps per-delete cost flat as the population grows.
+        # Residue = needle matches OUTSIDE live-record and index blocks
+        # (other subjects may legitimately store the same value, a
+        # shared city name, say), plus erased uids INSIDE index pages.
+        # DBFS scopes the scan: on a sharded store only the owning
+        # shard's device and journal are searched, which is what keeps
+        # per-delete cost flat as the population grows.
         residue = self.dbfs.residue_counts(
-            needles, subject_id=membrane.subject_id
+            needles, subject_id=membrane.subject_id, uids=erased
         )
 
         self.log.record(
@@ -340,7 +345,7 @@ class BuiltinFunctions:
             detail=f"mode={mode}, erased={len(erased)} (lineage group)",
         )
         for observer in self.erase_observers:
-            observer(membrane.subject_id, needles, erased, residue)
+            observer(membrane.subject_id, erased, residue)
         return EraseReport(
             uid=target.uid,
             mode=mode,
@@ -350,15 +355,13 @@ class BuiltinFunctions:
         )
 
 
-def _full_record_query(uid: str, dbfs: DatabaseFS):
-    """A DataQuery for every field of one record (built-in privilege)."""
-    from ..storage.query import DataQuery  # local import to avoid cycle noise
-
-    membrane_type = None
-    credential = AccessCredential(holder="rgpdos-builtins", is_ded=True)
-    membrane_type = dbfs.get_membrane(uid, credential).pd_type
-    pd_type: PDType = dbfs.get_type(membrane_type)
-    return DataQuery(uids=(uid,), fields={uid: pd_type.field_names})
+def _full_record(
+    dbfs: DatabaseFS, uid: str, type_name: str, credential: AccessCredential
+) -> Dict[str, object]:
+    """Every field of one record (built-in privilege)."""
+    pd_type: PDType = dbfs.get_type(type_name)
+    query = DataQuery(uids=(uid,), fields={uid: pd_type.field_names})
+    return dbfs.fetch_records(query, credential)[uid]
 
 
 def _needles_for(
@@ -370,9 +373,7 @@ def _needles_for(
         membrane = dbfs.get_membrane(uid, credential)
         if membrane.erased:
             continue
-        record = dbfs.fetch_records(
-            _full_record_query(uid, dbfs), credential
-        ).get(uid, {})
+        record = _full_record(dbfs, uid, membrane.pd_type, credential)
         for value in record.values():
             if isinstance(value, str) and len(value) >= 4:
                 needles.append(value.encode())

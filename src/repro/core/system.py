@@ -182,18 +182,14 @@ class RgpdOS:
         )
 
         # Continuous compliance observability (PR 8): a tamper-evident
-        # evidence trail, a residue watchlist fed by erasures, and the
-        # article-indexed audit engine.  The monitors daemon is built on
-        # demand by :meth:`start_monitors`.
+        # evidence trail and the article-indexed audit engine.  The
+        # monitors daemon is built on demand by :meth:`start_monitors`.
+        # An erasure's plaintext needles live only inside
+        # ``builtins.delete``; nothing here keeps them.
         from ..obs.audit import AuditEngine  # deferred: audit reads core
-        from ..obs.monitors import (  # deferred: monitors read storage
-            MonitorDaemon,
-            ResidueWatchlist,
-            needle_digest,
-        )
+        from ..obs.monitors import MonitorDaemon  # deferred: reads storage
 
         self.evidence = EvidenceTrail()
-        self.residue_watchlist = ResidueWatchlist()
         self.audit_engine = AuditEngine(self)
         self.monitors: Optional[MonitorDaemon] = None
         # Proactive retention enforcement (PR 9): built on demand by
@@ -202,14 +198,9 @@ class RgpdOS:
 
         def _on_erase(
             subject_id: str,
-            needles: Sequence[bytes],
             erased: Sequence[str],
             residue: Mapping[str, int],
         ) -> None:
-            # Erased plaintext becomes the scrubber's watchlist; the
-            # trail records digests only — the whole point of erasure
-            # is that the bytes themselves stop existing anywhere.
-            self.residue_watchlist.register(subject_id, needles)
             self.evidence.append(
                 kind="erasure",
                 source="builtins.delete",
@@ -218,7 +209,6 @@ class RgpdOS:
                     "erased_records": len(erased),
                     "residue_device_blocks": residue["device_blocks"],
                     "residue_journal_records": residue["journal_records"],
-                    "needle_digests": [needle_digest(n) for n in needles],
                 },
                 at=self.clock.now(),
             )
@@ -450,7 +440,6 @@ class RgpdOS:
     def start_monitors(
         self,
         interval_seconds: float = 0.05,
-        sample_blocks: int = 64,
         background: bool = False,
         expiry_daemon: bool = False,
         expiry_wave_size: int = 64,
@@ -482,12 +471,7 @@ class RgpdOS:
                 self.monitors.start()
             return self.monitors
         monitors: List[object] = [
-            ResidueScrubberMonitor(
-                dbfs=self.dbfs,
-                watchlist=self.residue_watchlist,
-                telemetry=self.telemetry,
-                sample_blocks=sample_blocks,
-            ),
+            ResidueScrubberMonitor(dbfs=self.dbfs, telemetry=self.telemetry),
             TTLWatcherMonitor(
                 dbfs=self.dbfs, clock=self.clock,
                 telemetry=self.telemetry,
@@ -640,7 +624,6 @@ class RgpdOS:
         snapshot["audit"] = {
             "evidence_entries": len(self.evidence),
             "evidence_head": self.evidence.head,
-            "watch_needles": len(self.residue_watchlist),
             "last_report": (
                 self.audit_engine.last_report.summary()
                 if self.audit_engine.last_report is not None

@@ -24,7 +24,8 @@ evaluates it against a live :class:`~repro.core.system.RgpdOS`:
 * Art. 7   — membranes name a subject and use declared consent scopes;
 * Art. 7(3) — all copies in a lineage group share one consent state;
 * Art. 9   — sensitive fields live in a separate inode;
-* Art. 17  — erased PD is unreadable through every DBFS path.
+* Art. 17  — erased PD is unreadable through every DBFS path, and the
+  residue scrubber's last sweep found no unowned non-empty block.
 
 Structural rules are probed, not trusted: the Art. 32 check attempts
 the forbidden access and counts the refusals.  A run reads the
@@ -355,15 +356,6 @@ def _check_retention(system: "RgpdOS", membranes: Membranes) -> Verdict:
             data=len(overdue),
         ),
     ]
-    residue = registry.gauges.get("rgpdos.residue.device_blocks")
-    if residue is not None:
-        evidence.append(Evidence(
-            kind="telemetry",
-            ref="metric:rgpdos.residue.device_blocks",
-            summary="device residue blocks found by the last "
-                    "completed scrubber sweep",
-            data=residue.value,
-        ))
     # Sealed erasure waves: the daemon's proof-of-work.  The trail is
     # hash-chained, so each cited seq is tamper-evident.
     waves = system.evidence.find(
@@ -621,7 +613,8 @@ def _check_sensitive_separation(
 def _check_erased_unreadable(
     system: "RgpdOS", membranes: Membranes
 ) -> Verdict:
-    """Erased PD must not be fetchable through any DBFS path."""
+    """Erased PD must not be fetchable through any DBFS path, and the
+    last completed residue sweep found no unowned non-empty block."""
     erased = [uid for uid, membrane in membranes if membrane.erased]
     leaks: List[str] = []
     for uid in erased:
@@ -630,16 +623,31 @@ def _check_erased_unreadable(
             leaks.append(uid)
         except errors.ExpiredPDError:
             pass
-    system.telemetry.registry.gauge("rgpdos.audit.erased_records").set(
-        len(erased))
+    registry = system.telemetry.registry
+    registry.gauge("rgpdos.audit.erased_records").set(len(erased))
     evidence = [Evidence(
         kind="telemetry", ref="metric:rgpdos.audit.erased_records",
         summary="erased records whose fetch was attempted",
         data=len(erased),
     )]
+    # Published only once a scrubber sweep has completed.
+    residue = registry.gauges.get("rgpdos.residue.device_blocks")
+    if residue is not None:
+        evidence.append(Evidence(
+            kind="telemetry",
+            ref="metric:rgpdos.residue.device_blocks",
+            summary="unowned non-empty device blocks found by the last "
+                    "completed scrubber sweep",
+            data=residue.value,
+        ))
     if leaks:
         return STATUS_FAIL, (
             f"{len(leaks)} erased records still readable"
+        ), evidence
+    if residue is not None and residue.value > 0:
+        return STATUS_FAIL, (
+            f"the last residue sweep found {residue.value:g} unowned "
+            "non-empty device block(s)"
         ), evidence
     return STATUS_PASS, (
         f"{len(erased)} erased record(s), none readable"

@@ -8,13 +8,14 @@ never starve foreground rights requests) and publish what they see as
 ``rgpdos.residue.*`` / ``rgpdos.audit.*`` gauges — the same registry
 Prometheus scrapes and the audit engine cites as evidence.
 
-* :class:`ResidueScrubberMonitor` — samples a window of device blocks
-  per tick, scanning for needles of erased PD (registered by the
-  erasure built-in via the :class:`ResidueWatchlist`), and turns the
-  one-shot ``residue_counts`` scan into a continuously-updated
-  ``rgpdos.residue.device_blocks`` gauge.  A planted residue block is
-  found within one full sweep by construction: the cursor covers every
-  block of every shard before wrapping.
+* :class:`ResidueScrubberMonitor` — sweeps every shard device one
+  window per tick for non-empty blocks no owner references (the
+  block-ownership rule of
+  :meth:`~repro.storage.dbfs.DatabaseFS.owned_blocks`), publishing
+  the ``rgpdos.residue.device_blocks`` gauge.  It needs no PD to look
+  for, so it catches leftover bytes of any value.  A planted block is
+  found within one full sweep by construction: the cursor covers
+  every block of every shard before wrapping.
 * :class:`TTLWatcherMonitor` — counts live membranes past retention
   (Art. 5(1)(e)).
 * :class:`BreachDeadlineWatcherMonitor` — runs the Art. 33 breach scan
@@ -25,13 +26,12 @@ Prometheus scrapes and the audit engine cites as evidence.
 
 Every significant observation is sealed into the system's
 hash-chained :class:`~repro.obs.evidence.EvidenceTrail`; payloads
-carry needle *digests*, never plaintext PD — the trail must not itself
-become a leak.
+carry counts, uids and block numbers, never PD — the trail must not
+itself become a leak.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import deque
 from typing import (
@@ -56,55 +56,6 @@ MONITOR_LANE = "monitors"
 RETENTION_LANE = "retention"
 
 
-def needle_digest(needle: bytes) -> str:
-    """Short stable digest naming a needle without exposing the PD."""
-    return hashlib.sha256(needle).hexdigest()[:16]
-
-
-class ResidueWatchlist:
-    """Needles of erased PD the scrubber keeps looking for.
-
-    The erasure built-in registers the distinctive plaintext values it
-    computed for its one-shot residue scan; the scrubber then re-scans
-    for them forever (bounded by ``max_needles``, oldest evicted
-    first — an erased value that has stayed residue-free for many
-    sweeps is the safest to retire).
-    """
-
-    def __init__(self, max_needles: int = 512) -> None:
-        self.max_needles = max_needles
-        self._lock = threading.Lock()
-        self._needles: Dict[bytes, str] = {}  # needle -> subject_id
-
-    def register(self, subject_id: str, needles: Sequence[bytes]) -> int:
-        with self._lock:
-            for needle in needles:
-                if needle:
-                    self._needles[needle] = subject_id
-            while len(self._needles) > self.max_needles:
-                self._needles.pop(next(iter(self._needles)))
-            return len(self._needles)
-
-    def needles(self) -> List[bytes]:
-        with self._lock:
-            return list(self._needles)
-
-    def subjects(self) -> List[str]:
-        with self._lock:
-            return sorted(set(self._needles.values()))
-
-    def discard_subject(self, subject_id: str) -> int:
-        with self._lock:
-            victims = [n for n, s in self._needles.items() if s == subject_id]
-            for needle in victims:
-                del self._needles[needle]
-            return len(victims)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._needles)
-
-
 class Monitor:
     """One background invariant check.
 
@@ -120,12 +71,12 @@ class Monitor:
 
 
 class ResidueScrubberMonitor(Monitor):
-    """Incremental device-residue scrubber.
+    """Incremental device-residue scrubber over block ownership.
 
-    Each tick samples ``sample_blocks`` device blocks (the same window
-    on every shard) through
-    :meth:`~repro.storage.dbfs.DatabaseFS.residue_sample`, advancing a
-    cursor until the whole device span is covered — one *sweep*.  The
+    Each tick checks the window ``[cursor, cursor + SAMPLE_BLOCKS)`` of
+    every shard device through
+    :meth:`~repro.storage.dbfs.DatabaseFS.unowned_blocks`, advancing
+    the cursor until the largest device is covered — one *sweep*.  The
     ``rgpdos.residue.device_blocks`` gauge holds the last completed
     sweep's residue count; ``rgpdos.residue.sweep_matches`` the running
     count of the sweep in progress, so a planted block shows up at the
@@ -133,18 +84,12 @@ class ResidueScrubberMonitor(Monitor):
     """
 
     name = "residue-scrubber"
+    #: Blocks each tick checks on every shard device.
+    SAMPLE_BLOCKS = 64
 
-    def __init__(
-        self,
-        dbfs,
-        watchlist: ResidueWatchlist,
-        telemetry: "Telemetry",
-        sample_blocks: int = 64,
-    ) -> None:
+    def __init__(self, dbfs, telemetry: "Telemetry") -> None:
         self.dbfs = dbfs
-        self.watchlist = watchlist
         self.telemetry = telemetry
-        self.sample_blocks = max(1, sample_blocks)
         self._cursor = 0
         self._sweep_matches = 0
         self._sweeps_completed = 0
@@ -157,7 +102,7 @@ class ResidueScrubberMonitor(Monitor):
 
     def ticks_per_sweep(self) -> int:
         span = self.device_span
-        return (span + self.sample_blocks - 1) // self.sample_blocks
+        return (span + self.SAMPLE_BLOCKS - 1) // self.SAMPLE_BLOCKS
 
     @property
     def sweeps_completed(self) -> int:
@@ -165,18 +110,19 @@ class ResidueScrubberMonitor(Monitor):
 
     def tick(self, now: float) -> Optional[Mapping[str, object]]:
         registry = self.telemetry.registry
-        needles = self.watchlist.needles()
-        registry.gauge("rgpdos.residue.watch_needles").set(len(needles))
-        if not needles:
-            registry.gauge("rgpdos.residue.sweep_progress_pct").set(0)
-            return None
-        result = self.dbfs.residue_sample(
-            needles, self._cursor, self.sample_blocks
-        )
-        self._cursor += self.sample_blocks
-        self._sweep_matches += result["device_blocks"]
-        registry.counter("rgpdos.residue.scanned_blocks").inc(
-            result["scanned_blocks"])
+        start = self._cursor
+        stop = start + self.SAMPLE_BLOCKS
+        scanned = 0
+        residue: List[List[int]] = []
+        for index, shard in enumerate(self.dbfs.shards):
+            scanned += max(0, min(stop, shard.device.block_count) - start)
+            residue += [
+                [index, block_no]
+                for block_no in shard.unowned_blocks(start, stop)
+            ]
+        self._cursor = stop
+        self._sweep_matches += len(residue)
+        registry.counter("rgpdos.residue.scanned_blocks").inc(scanned)
         registry.gauge("rgpdos.residue.sweep_matches").set(
             self._sweep_matches)
         span = self.device_span
@@ -184,15 +130,14 @@ class ResidueScrubberMonitor(Monitor):
         progress = 100.0 if finished else 100.0 * self._cursor / span
         registry.gauge("rgpdos.residue.sweep_progress_pct").set(
             round(progress, 1))
-        significant = result["device_blocks"] > 0
+        significant = bool(residue)
         payload: Dict[str, object] = {
-            "matches": result["device_blocks"],
-            "scanned_blocks": result["scanned_blocks"],
+            "matches": len(residue),
+            "scanned_blocks": scanned,
             "cursor": min(self._cursor, span),
-            "needle_digests": sorted(
-                needle_digest(n) for n in needles
-            )[:16],
         }
+        if residue:
+            payload["blocks"] = residue[:16]
         if finished:
             self._last_sweep_matches = self._sweep_matches
             self._sweeps_completed += 1

@@ -335,23 +335,18 @@ class BlockDevice:
             if needle in data
         ]
 
-    def scan_range(self, needle: bytes, start: int, stop: int) -> List[int]:
-        """Like :meth:`scan`, bounded to blocks ``[start, stop)``.
+    def nonempty_blocks(self, start: int, stop: int) -> List[int]:
+        """Blocks in ``[start, stop)`` whose medium bytes are non-empty.
 
-        The incremental residue scrubber samples the device one window
-        per tick instead of paying an O(device) scan on every pass;
-        the window is clamped to the device, so a cursor walking past
-        the end simply sees an empty tail.
+        A forensic view of the medium, like :meth:`scan`: no IO is
+        charged and the page cache is not touched.  It reads the
+        medium itself, so it also sees bytes written behind the
+        allocator's back (a torn write, a planted block).  The window
+        is clamped to the device.
         """
-        if not needle:
-            raise errors.BlockDeviceError("cannot scan for an empty needle")
-        start = max(0, start)
-        stop = min(self.block_count, stop)
-        return [
-            block_no
-            for block_no in range(start, stop)
-            if needle in self._blocks[block_no]
-        ]
+        start, stop = max(0, start), min(self.block_count, stop)
+        with self._lock:
+            return [b for b in range(start, stop) if self._blocks[b]]
 
     def iter_allocated(self) -> Iterator[int]:
         for block_no in range(self._watermark):

@@ -13,7 +13,7 @@ no in-memory journal index, page cache, or DBFS cache crosses the
 crash (``DatabaseFS.remount_from_device`` /
 ``ShardedDBFS.remount_from_devices`` drop all of it).
 
-Three invariants are checked after every recovery:
+Five invariants are checked after every recovery:
 
 1. **Committed data is durable** — every store whose call returned
    before the cut is present and byte-for-byte readable afterwards.
@@ -23,8 +23,16 @@ Three invariants are checked after every recovery:
 3. **Zero PD residue after erasure** — once an erasure has started,
    recovery rolls it *forward* (completing an erasure is GDPR-safe;
    resurrecting scrubbed PD never is), and the erased subject's
-   needles appear nowhere: not on the medium outside live records,
-   not in the journal extent, not in the page cache.
+   needles appear nowhere: not on the medium outside live records and
+   index pages, not in the journal extent, not in the page cache; and
+   no index page names the erased uid.
+4. **Durable indexes recovered consistent** — lookups agree with the
+   surviving records and never surface erased or rolled-back uids,
+   and the table bloom neither drops a live subject nor invents one.
+5. **Every non-empty block has an owner** — no block on any shard's
+   device holds bytes outside
+   :meth:`~repro.storage.dbfs.DatabaseFS.owned_blocks` (the journal
+   extent, inode extents, escrow staging).
 
 With ``shard_count > 1`` all shards share one
 :class:`~repro.storage.faults.FaultInjector` — a single power rail
@@ -366,7 +374,8 @@ class CrashSim:
                 ssn_needle(ERASED_SUBJECT).encode("utf-8"),
             ]
             residue = recovered.residue_counts(  # type: ignore[union-attr]
-                needles, subject_id=f"crash-subject-{ERASED_SUBJECT}"
+                needles, subject_id=f"crash-subject-{ERASED_SUBJECT}",
+                uids=[uid0],
             )
             for plane, count in residue.items():
                 if count:
@@ -397,6 +406,16 @@ class CrashSim:
             failures.extend(
                 self._check_index_consistency(recovered, uids, live)
             )
+
+        # 5. every non-empty block has an owner: recovery's orphan
+        # sweep left no torn or half-scrubbed extent behind.
+        for index, shard in enumerate(recovered.shards):  # type: ignore[union-attr]
+            stray = shard.unowned_blocks(0, shard.device.block_count)
+            if stray:
+                failures.append(
+                    f"unowned non-empty blocks after recovery on shard "
+                    f"{index}: {stray}"
+                )
         return failures
 
     def _check_index_consistency(

@@ -1984,19 +1984,31 @@ class DatabaseFS:
         self,
         needles: Sequence[bytes],
         subject_id: Optional[str] = None,
+        uids: Sequence[str] = (),
     ) -> Dict[str, int]:
         """Post-erasure residue of ``needles`` outside live records.
 
         Returns ``{"device_blocks": n, "journal_records": m}``.  Blocks
         belonging to live records are excluded — other subjects may
         legitimately store the same value (a shared city name, say).
-        ``subject_id`` is the erased subject; a single DBFS ignores it,
-        but the sharded store uses it to scan only the owning shard's
-        device and journal (the subject's plaintext never existed
-        anywhere else — that locality is the point of lineage-affine
-        placement).
+        So are durable-index pages, which list live subjects' values;
+        they are searched for the erased ``uids`` instead, quoted as
+        the page JSON stores them.  ``subject_id`` is the erased
+        subject; a single DBFS ignores it, but the sharded store uses
+        it to scan only the owning shard's device and journal (the
+        subject's plaintext never existed anywhere else — that
+        locality is the point of lineage-affine placement).
         """
         legit_blocks = self.live_record_blocks()
+        with self._index_lock:
+            indexes = list(self._field_indexes.values())
+        index_blocks = {
+            block_no
+            for index in indexes
+            for inode in self.inodes.walk(index.root_no)
+            for block_no in inode.blocks
+        }
+        legit_blocks |= index_blocks
         device_blocks = 0
         journal_records = 0
         for needle in needles:
@@ -2008,41 +2020,59 @@ class DatabaseFS:
             journal_records += len(
                 [r for r in self.journal.records() if needle in r.payload]
             )
+        for uid in uids if index_blocks else ():
+            device_blocks += sum(
+                1
+                for block_no in self.device.scan(json.dumps(uid).encode())
+                if block_no in index_blocks
+            )
         return {
             "device_blocks": device_blocks,
             "journal_records": journal_records,
         }
 
-    def residue_sample(
-        self,
-        needles: Sequence[bytes],
-        start_block: int,
-        block_count: int,
-    ) -> Dict[str, int]:
-        """One incremental window of the residue scan.
+    def owned_blocks(self) -> set:
+        """Every block an owner references: the journal extent, each
+        inode's extent, and escrow staging extents.
 
-        Scans device blocks ``[start_block, start_block + block_count)``
-        for the needles, excluding blocks that belong to live records
-        (identical semantics to :meth:`residue_counts`, so summing
-        every window of one full sweep equals the one-shot scan).
-        Returns ``{"scanned_blocks": n, "device_blocks": m}``; the
-        window is clamped to the device, so a cursor past the end
-        scans nothing.
+        DBFS's one continuous residue rule: a non-empty block outside
+        this set is residue, whatever it holds.  The orphan sweep, the
+        scrubber (:meth:`unowned_blocks`) and CrashSim all use it.  It
+        cannot see a stale value inside an owned block; the erase-time
+        :meth:`residue_counts` covers that case.
         """
-        stop = min(self.device.block_count, start_block + block_count)
-        start = max(0, start_block)
-        scanned = max(0, stop - start)
-        if scanned == 0:
-            return {"scanned_blocks": 0, "device_blocks": 0}
-        legit_blocks = self.live_record_blocks()
-        hits = 0
-        for needle in needles:
-            hits += sum(
-                1
-                for block_no in self.device.scan_range(needle, start, stop)
-                if block_no not in legit_blocks
-            )
-        return {"scanned_blocks": scanned, "device_blocks": hits}
+        owned = set(self.journal.extent)
+        for number in self.inodes.numbers():
+            try:
+                inode = self.inodes.get(number)
+            except errors.InodeError:
+                continue  # freed since the listing: it owns nothing
+            owned.update(inode.blocks)
+            staging = inode.attrs.get("escrow_staging")
+            if staging:
+                owned.update(staging["blocks"])
+        return owned
+
+    def unowned_blocks(self, start: int, stop: int) -> List[int]:
+        """Non-empty blocks in ``[start, stop)`` no owner references.
+
+        The window the residue scrubber sweeps.  A store writes its
+        extent before its inode points at it, so a candidate counts
+        only if it is still non-empty and unowned when re-checked
+        under the write lock: a store in flight is never reported.
+        """
+        candidates = self.device.nonempty_blocks(start, stop)
+        if candidates:
+            owned = self.owned_blocks()
+            candidates = [b for b in candidates if b not in owned]
+        if not candidates:
+            return []
+        with self._write_lock:
+            owned = self.owned_blocks()
+            nonempty = set(self.device.nonempty_blocks(start, stop))
+            return [
+                b for b in candidates if b in nonempty and b not in owned
+            ]
 
     # ------------------------------------------------------------------
     # Shard topology (trivial on a single DBFS)
@@ -2929,22 +2959,16 @@ class DatabaseFS:
         return freed
 
     def _scrub_orphan_blocks(self) -> int:
-        """Scrub-free allocated blocks no inode (or the journal) owns.
+        """Scrub-free allocated blocks outside :meth:`owned_blocks`.
 
         Interrupted shadow-writes allocate a new extent before the old
         one is released; whichever side lost the race is unreferenced
         after the crash and may carry plaintext PD.
         """
-        referenced = set(self.journal.extent)
-        for number in self.inodes.numbers():
-            inode = self.inodes.get(number)
-            referenced.update(inode.blocks)
-            staging = inode.attrs.get("escrow_staging")
-            if staging:
-                referenced.update(staging["blocks"])
+        owned = self.owned_blocks()
         freed = 0
         for block_no in list(self.device.iter_allocated()):
-            if block_no not in referenced:
+            if block_no not in owned:
                 self.device.scrub(block_no)
                 self.device.free(block_no)
                 freed += 1

@@ -876,6 +876,7 @@ class ShardedDBFS:
         self,
         needles: Sequence[bytes],
         subject_id: Optional[str] = None,
+        uids: Sequence[str] = (),
     ) -> Dict[str, int]:
         """Residue scan, scoped to the owning shard when the erased
         subject is known — the subject's plaintext never touched any
@@ -884,34 +885,13 @@ class ShardedDBFS:
         """
         if subject_id is not None:
             return self.shard_for_subject(subject_id).residue_counts(
-                needles, subject_id=subject_id
+                needles, subject_id=subject_id, uids=uids
             )
         totals = {"device_blocks": 0, "journal_records": 0}
         for _, shard in self._healthy():
-            counts = shard.residue_counts(needles)
+            counts = shard.residue_counts(needles, uids=uids)
             totals["device_blocks"] += counts["device_blocks"]
             totals["journal_records"] += counts["journal_records"]
-        return totals
-
-    def residue_sample(
-        self,
-        needles: Sequence[bytes],
-        start_block: int,
-        block_count: int,
-    ) -> Dict[str, int]:
-        """One incremental residue window, applied to every healthy
-        shard in parallel position: the scrubber's single cursor walks
-        the same block window on all devices, so one full sweep of the
-        largest device covers the whole fleet."""
-        totals = {"scanned_blocks": 0, "device_blocks": 0}
-        for result in self._fan([
-            (lambda s=shard: s.residue_sample(
-                needles, start_block, block_count
-            ))
-            for _, shard in self._healthy()
-        ]):
-            totals["scanned_blocks"] += result["scanned_blocks"]
-            totals["device_blocks"] += result["device_blocks"]
         return totals
 
     # ------------------------------------------------------------------

@@ -83,6 +83,33 @@ purpose purpose3 {
 """
 
 
+def make_monitor_system(authority, shards=1):
+    """Machine-less Listing-1 system with alice and bob collected, on
+    512-block devices so a full residue-scrubber sweep is a handful
+    of ticks, not a thousand."""
+    os_ = RgpdOS(
+        operator_name="monitor-test",
+        authority=authority,
+        with_machine=False,
+        pd_device_blocks=512,
+        shards=shards,
+    )
+    os_.install(LISTING1_DECLARATIONS)
+    os_.collect(
+        "user",
+        {"name": "Alice Martin", "pwd": "alice-secret-pwd",
+         "year_of_birthdate": 1990},
+        subject_id="alice", method="web_form",
+    )
+    os_.collect(
+        "user",
+        {"name": "Bob Durand", "pwd": "bob-secret-pwd",
+         "year_of_birthdate": 1985},
+        subject_id="bob", method="web_form",
+    )
+    return os_
+
+
 @pytest.fixture
 def system(shared_authority):
     """A booted rgpdOS with the Listing-1 declarations installed."""

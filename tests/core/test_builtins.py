@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import errors
+from repro import RgpdOS, errors
 from repro.core.views import SCOPE_ALL
+from repro.workloads.generator import STANDARD_DECLARATIONS, PopulationGenerator
 
 
 class TestAcquisition:
@@ -200,3 +201,47 @@ class TestDelete:
         assert report.erased_lineage == [alice.uid]
         clone = system.dbfs.get_membrane(copy_ref.uid, builtins.credential)
         assert not clone.erased
+
+
+class TestIndexedErasure:
+    """A durable ``city`` index page lists other live subjects with the
+    erased subject's city.  Values there are legitimate; only the
+    erased uid must leave the page."""
+
+    @pytest.fixture(params=[1, 4])
+    def indexed(self, request, shared_authority):
+        system = RgpdOS(
+            operator_name="indexed-erase", authority=shared_authority,
+            with_machine=False, pd_device_blocks=4096, shards=request.param,
+        )
+        system.install(STANDARD_DECLARATIONS)
+        system.dbfs.create_index(
+            "user", "city", system.ps.builtins.credential)
+        subjects = PopulationGenerator(seed=29).subjects(200)
+        for subject in subjects:
+            system.collect("user", subject.user_record(),
+                           subject_id=subject.subject_id, method="web_form")
+        return system, subjects
+
+    def test_erase_reports_zero_residue(self, indexed):
+        system, subjects = indexed
+        for subject in subjects[:10]:
+            outcome = system.rights.erase(subject.subject_id)
+            for report in outcome.reports:
+                assert report.residue_device_blocks == 0, subject.city
+                assert report.fully_forgotten
+
+    def test_erased_uid_left_in_index_page_is_residue(self, indexed):
+        system, subjects = indexed
+        victim = subjects[0]
+        outcome = system.rights.erase(victim.subject_id)
+        uid = outcome.reports[0].uid
+        shard = system.dbfs.shard_for_subject(victim.subject_id)
+        residue = system.dbfs.residue_counts(
+            [victim.city.encode()], subject_id=victim.subject_id, uids=[uid])
+        assert residue["device_blocks"] == 0
+        # A stale entry that still names the erased uid is residue.
+        shard._field_indexes[("user", "city")].add(victim.city, uid)
+        residue = system.dbfs.residue_counts(
+            [victim.city.encode()], subject_id=victim.subject_id, uids=[uid])
+        assert residue["device_blocks"] >= 1

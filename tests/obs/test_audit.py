@@ -17,7 +17,7 @@ from repro.obs.audit import (
     resolve_evidence,
 )
 from repro.storage.query import DataQuery
-from conftest import LISTING1_DECLARATIONS
+from conftest import LISTING1_DECLARATIONS, make_monitor_system
 
 
 def exercise(system):
@@ -223,6 +223,28 @@ class TestFailures:
         audit = system.audit()
         by_id = {c.control_id: c for c in audit.controls}
         assert by_id["art33-breach"].status == STATUS_PASS
+
+    @pytest.mark.parametrize("planted", [True, False])
+    def test_residue_sweep_drives_art17(self, shared_authority, planted):
+        """The Art. 17 control cites the last completed scrubber sweep
+        and fails when it found an unowned non-empty block."""
+        system = make_monitor_system(shared_authority)
+        system.rights.erase("alice")
+        device = system.pd_device
+        if planted:
+            device.write(device.block_count - 1, b"Alice Martin")
+        daemon = system.start_monitors()
+        daemon.run_for_ticks(daemon.monitors[0].ticks_per_sweep())
+        report = system.audit()
+        by_id = {c.control_id: c for c in report.controls}
+        art17 = by_id["art17-erased-unreadable"]
+        cited = {e.ref: e.data for e in art17.evidence}
+        assert cited["metric:rgpdos.residue.device_blocks"] == (
+            1 if planted else 0)
+        assert art17.status == (STATUS_FAIL if planted else STATUS_PASS)
+        assert report.ok is not planted
+        assert "metric:rgpdos.residue.device_blocks" not in {
+            e.ref for e in by_id["art5e-retention"].evidence}
 
     def test_standalone_engine_matches_system_engine(self, populated):
         system, _, _ = populated

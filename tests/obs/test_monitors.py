@@ -2,94 +2,79 @@
 and the daemon that drives them (inline, threaded, and on the engine).
 """
 
+import hashlib
+import json
+import threading
+import time
+from collections import Counter
+
 import pytest
 
-from conftest import LISTING1_DECLARATIONS
+from conftest import make_monitor_system
 from repro import RgpdOS
 from repro.core.active_data import AccessCredential
 from repro.errors import PDLeakError
-from repro.obs.monitors import (
-    MonitorDaemon,
-    ResidueScrubberMonitor,
-    ResidueWatchlist,
-    needle_digest,
-)
+from repro.obs.monitors import MonitorDaemon, ResidueScrubberMonitor
+from repro.storage.inode import KIND_RECORD
 from repro.storage.query import DataQuery
+from repro.workloads.generator import STANDARD_DECLARATIONS, PopulationGenerator
+
+DED = AccessCredential(holder="monitor-test", is_ded=True)
 
 
 @pytest.fixture
 def small_system(shared_authority):
     """Machine-less system on a small device so a full scrubber sweep
     is a handful of ticks, not a thousand."""
-    os_ = RgpdOS(
-        operator_name="monitor-test",
-        authority=shared_authority,
-        with_machine=False,
-        pd_device_blocks=512,
-    )
-    os_.install(LISTING1_DECLARATIONS)
-    os_.collect(
-        "user",
-        {"name": "Alice Martin", "pwd": "alice-secret-pwd",
-         "year_of_birthdate": 1990},
-        subject_id="alice", method="web_form",
-    )
-    os_.collect(
-        "user",
-        {"name": "Bob Durand", "pwd": "bob-secret-pwd",
-         "year_of_birthdate": 1985},
-        subject_id="bob", method="web_form",
-    )
-    return os_
+    return make_monitor_system(shared_authority)
 
 
-class TestWatchlist:
-    def test_register_and_query(self):
-        watchlist = ResidueWatchlist()
-        watchlist.register("alice", [b"Alice Martin", b"alice-secret"])
-        watchlist.register("bob", [b"Bob Durand"])
-        assert len(watchlist) == 3
-        assert watchlist.subjects() == ["alice", "bob"]
-        assert watchlist.discard_subject("alice") == 2
-        assert watchlist.needles() == [b"Bob Durand"]
+def plant(device, block, data):
+    """Write ``data`` straight to the medium: bytes no inode owns."""
+    device.write(block, data + b"\x00" * (device.block_size - len(data)))
 
-    def test_empty_needles_ignored(self):
-        watchlist = ResidueWatchlist()
-        watchlist.register("alice", [b"", b"real-needle"])
-        assert watchlist.needles() == [b"real-needle"]
 
-    def test_bounded_oldest_first(self):
-        watchlist = ResidueWatchlist(max_needles=2)
-        watchlist.register("a", [b"first"])
-        watchlist.register("b", [b"second", b"third"])
-        assert len(watchlist) == 2
-        assert b"first" not in watchlist.needles()
+def one_sweep(system):
+    daemon = system.start_monitors()
+    scrubber = daemon.monitors[0]
+    assert isinstance(scrubber, ResidueScrubberMonitor)
+    daemon.run_for_ticks(scrubber.ticks_per_sweep())
+    assert scrubber.sweeps_completed == 1
+    return system.telemetry.registry.gauge_value(
+        "rgpdos.residue.device_blocks")
 
-    def test_erasure_feeds_system_watchlist(self, small_system):
+
+class TestErasureEvidence:
+    def test_erasure_seals_no_needle_digests(self, small_system, tmp_path):
+        """The trail names the erased subject and the residue counts,
+        never the erased values or an unkeyed digest of them."""
         small_system.rights.erase("alice")
-        needles = small_system.residue_watchlist.needles()
-        assert b"Alice Martin" in needles
-        assert b"alice-secret-pwd" in needles
         erasures = small_system.evidence.find(
             lambda e: e["kind"] == "erasure")
         assert len(erasures) == 1
         payload = erasures[0]["payload"]
-        assert needle_digest(b"Alice Martin") in payload["needle_digests"]
-        # digests only — no plaintext PD in the trail
-        assert "Alice Martin" not in str(payload)
+        assert "needle_digests" not in payload
+        assert payload["subject_id"] == "alice"
+        assert payload["residue_device_blocks"] == 0
+        path = tmp_path / "trail.jsonl"
+        small_system.evidence.export_jsonl(str(path))
+        exported = path.read_text()
+        for entry in map(json.loads, exported.splitlines()):
+            assert "needle_digests" not in entry["payload"]
+        for value in (b"Alice Martin", b"alice-secret-pwd"):
+            assert value.decode() not in exported
+            assert hashlib.sha256(value).hexdigest()[:16] not in exported
 
 
 class TestResidueScrubber:
     def test_planted_residue_found_within_one_sweep(self, small_system):
         system = small_system
         system.rights.erase("alice")
-        daemon = system.start_monitors(sample_blocks=64)
+        daemon = system.start_monitors()
         scrubber = daemon.monitors[0]
         assert isinstance(scrubber, ResidueScrubberMonitor)
         device = system.pd_device
-        block = device.block_count - 1
-        needle = b"Alice Martin"
-        device.write(block, needle + b"\x00" * (device.block_size - len(needle)))
+        plant(device, device.block_count - 1, b"Alice Martin")
         daemon.run_for_ticks(scrubber.ticks_per_sweep())
         registry = system.telemetry.registry
         assert scrubber.sweeps_completed >= 1
@@ -100,10 +85,22 @@ class TestResidueScrubber:
         assert hits, "the crossing tick should seal a trail entry"
         assert system.evidence.verify_chain() == len(system.evidence)
 
+    def test_planted_residue_found_without_any_erasure(self, small_system):
+        """Ownership needs no needles: leftover bytes of a value no
+        erasure ever named are found all the same."""
+        device = small_system.pd_device
+        plant(device, device.block_count - 2, b"never-erased-value")
+        assert one_sweep(small_system) == 1
+        hits = small_system.evidence.find(
+            lambda e: e["source"] == "residue-scrubber"
+            and e["payload"].get("matches", 0) > 0)
+        assert hits and hits[0]["payload"]["blocks"] == [
+            [0, device.block_count - 2]]
+
     def test_clean_sweep_reports_zero(self, small_system):
         system = small_system
         system.rights.erase("alice")
-        daemon = system.start_monitors(sample_blocks=64)
+        daemon = system.start_monitors()
         scrubber = daemon.monitors[0]
         daemon.run_for_ticks(scrubber.ticks_per_sweep())
         registry = system.telemetry.registry
@@ -113,28 +110,63 @@ class TestResidueScrubber:
             "rgpdos.residue.scanned_blocks").value >= scrubber.device_span
 
     def test_sweep_sum_matches_one_shot_scan(self, small_system):
-        """Summing a sweep's windows equals ``residue_counts``' device
-        count — the incremental scan is the one-shot scan, split up."""
+        """The windows of one sweep add up to the one-shot unowned set
+        — the incremental scan is the one-shot scan, split up."""
         system = small_system
         system.rights.erase("alice")
-        needles = system.residue_watchlist.needles()
+        dbfs = system.dbfs
         device = system.pd_device
-        payload = b"Alice Martin" + b"\x00" * (device.block_size - 12)
-        device.write(device.block_count - 1, payload)
-        device.write(device.block_count - 3, payload)
-        one_shot = system.dbfs.residue_counts(needles, subject_id="alice")
-        total = 0
-        for start in range(0, device.block_count, 64):
-            total += system.dbfs.residue_sample(needles, start, 64)[
-                "device_blocks"]
-        assert total == one_shot["device_blocks"] >= 2
+        plant(device, device.block_count - 1, b"Alice Martin")
+        plant(device, device.block_count - 3, b"Alice Martin")
+        one_shot = dbfs.unowned_blocks(0, device.block_count)
+        windows = []
+        for start in range(0, device.block_count,
+                           ResidueScrubberMonitor.SAMPLE_BLOCKS):
+            windows += dbfs.unowned_blocks(
+                start, start + ResidueScrubberMonitor.SAMPLE_BLOCKS)
+        assert windows == one_shot == [
+            device.block_count - 3, device.block_count - 1]
 
-    def test_idle_without_needles(self, small_system):
-        daemon = small_system.start_monitors(sample_blocks=64)
-        sealed = daemon.monitors[0].tick(small_system.clock.now())
-        assert sealed is None
-        registry = small_system.telemetry.registry
-        assert registry.gauge_value("rgpdos.residue.watch_needles") == 0
+    def test_store_in_flight_is_not_residue(self, small_system):
+        """A writer's extent is non-empty before its inode owns it; the
+        re-check under the write lock waits for the writer to finish."""
+        dbfs = small_system.dbfs
+        device = small_system.pd_device
+        written = threading.Event()
+
+        def writer():
+            with dbfs.write_lock("any"):
+                block = device.allocate()
+                device.write(block, b"record in flight")
+                written.set()
+                time.sleep(0.2)  # the scan reaches the lock meanwhile
+                dbfs.inodes.allocate(KIND_RECORD).blocks = [block]
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        assert written.wait(timeout=5)
+        assert dbfs.unowned_blocks(0, device.block_count) == []
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_indexed_store_sweep_reports_zero(self, shared_authority, shards):
+        """A city index page lists *other* live subjects with the erased
+        subject's city; it is owned, so it is not residue."""
+        system = RgpdOS(
+            operator_name="monitor-test", authority=shared_authority,
+            with_machine=False, pd_device_blocks=1024, shards=shards,
+        )
+        system.install(STANDARD_DECLARATIONS)
+        system.dbfs.create_index("user", "city", DED)
+        subjects = PopulationGenerator(seed=17).subjects(40)
+        for subject in subjects:
+            system.collect("user", subject.user_record(),
+                           subject_id=subject.subject_id, method="web_form")
+        city, _ = Counter(s.city for s in subjects).most_common(1)[0]
+        victim = next(s for s in subjects if s.city == city)
+        system.rights.erase(victim.subject_id)
+        assert one_sweep(system) == 0
 
 
 class TestWatchers:

@@ -469,3 +469,21 @@ class TestCrashSweep:
         format_writes, total = sim.measure()
         trial = sim.run_trial(total - 1)
         assert trial.ok, trial.failures
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_ownership_oracle_flags_unowned_block(self, shards):
+        # The oracle is live: a clean recovery passes it, and one
+        # non-empty block no owner references fails it, by shard and
+        # block number.
+        sim = CrashSim(shard_count=shards)
+        _, devices, fs = sim._build(FaultPlan(seed=sim.seed))
+        progress, uids = [], {}
+        sim.run_workload(fs, progress, uids)
+        recovered = sim._remount(fs, devices)
+        assert sim.check_invariants(recovered, devices, progress, uids) == []
+        stray = devices[-1]
+        stray.write(stray.block_count - 1, b"leftover bytes")
+        assert sim.check_invariants(recovered, devices, progress, uids) == [
+            f"unowned non-empty blocks after recovery on shard "
+            f"{shards - 1}: [{stray.block_count - 1}]"
+        ]

@@ -78,7 +78,7 @@ class TestCommands:
         assert "repro_rgpdos_audit_controls_pass" in names
         assert "repro_rgpdos_audit_controls_fail" in names
         assert "repro_rgpdos_audit_breach_countdown_seconds" in names
-        assert "repro_rgpdos_residue_watch_needles" in names
+        assert "repro_rgpdos_residue_sweep_matches" in names
         assert "repro_rgpdos_residue_scanned_blocks" in names
 
     def test_audit_continuous_sharded_with_evidence_export(
