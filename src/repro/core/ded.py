@@ -13,8 +13,11 @@ and runs the paper's eight-stage pipeline, reproduced stage for stage:
                       (and drop TTL-expired PD)
 ``ded_load_data``     second DBFS request: fetch data for survivors,
                       projected to the consented fields
-``ded_execute``       run the processing on guarded views, under the
-                      F_pd seccomp profile
+``ded_execute``       run the processing on guarded views; the F_pd
+                      seccomp profile applies to simulated processes
+                      (``SyscallTable.attach_seccomp``), while
+                      ``PurposeMatcher``'s static check at registration
+                      holds F_pd code inside the DED
 ``ded_build_membrane`` wrap any produced PD in a fresh membrane
 ``ded_store``         persist produced PD in DBFS
 ``ded_return``        return non-PD values and references — never raw PD
@@ -38,7 +41,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from .. import errors
 from ..kernel.pim import DEDPlacer, PlacementDecision
 from ..obs import NULL_TELEMETRY, Telemetry
-from ..kernel.seccomp import SeccompFilter, pd_function_profile
 from ..storage.cache import MISSING, LRUCache
 from ..storage.dbfs import DatabaseFS
 from ..storage.query import DataQuery, MembraneQuery, Predicate, StoreRequest
@@ -242,9 +244,6 @@ class DataExecutionDomain:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.credential = AccessCredential(
             holder=f"ded-{instance}", is_ded=True
-        )
-        self.seccomp: SeccompFilter = pd_function_profile(
-            name=f"ded-{instance}-fpd"
         )
 
     # ------------------------------------------------------------------
@@ -594,7 +593,12 @@ class DataExecutionDomain:
         result: InvocationResult,
         enclave: Optional[object] = None,
     ) -> Dict[str, object]:
-        """Run the function under the F_pd seccomp profile.
+        """Run the function on each view (or once on all of them).
+
+        No seccomp filter is installed here: the F_pd profile
+        (``pd_function_profile``) applies to simulated processes through
+        ``SyscallTable.attach_seccomp``, and ``PurposeMatcher``'s static
+        check at registration holds F_pd code inside the DED.
 
         Per-record errors are contained: one record's failure must not
         deny the other subjects' processing.  With an enclave, every

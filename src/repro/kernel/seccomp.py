@@ -12,9 +12,12 @@ action.  Actions mirror seccomp's return values:
 * ``KILL``   — deny and mark the process for termination;
 * ``LOG``    — allow but flag the event in the filter's log.
 
-:func:`pd_function_profile` builds the profile the DED installs on
-every F_pd^r execution: the leak-prone syscalls are denied, the PD
-pipeline's own entry points and pure computation remain allowed.
+:func:`pd_function_profile` builds the F_pd^r profile: the leak-prone
+syscalls are denied, the PD pipeline's own entry points and pure
+computation remain allowed.  A simulated process gets it through
+:meth:`~repro.kernel.syscalls.SyscallTable.attach_seccomp`; the DED
+installs no filter, since ``PurposeMatcher``'s static check at
+registration already holds F_pd code inside it.
 """
 
 from __future__ import annotations

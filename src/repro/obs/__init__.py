@@ -21,52 +21,13 @@ standalone.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
+from typing import Dict
 
 from .exporters import parse_prometheus, snapshot, to_prometheus
 from .histogram import DEFAULT_BUCKET_BOUNDS_NS, LatencyHistogram
 from .registry import (Counter, Gauge, MetricsRegistry, Timer,
                        NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NULL_TIMER)
 from .tracing import NULL_SPAN, Span, Tracer
-
-
-class _OpContext:
-    """Span + latency histogram for one named operation, in one ``with``."""
-
-    __slots__ = ("_telemetry", "_name", "_attrs", "_span_cm", "_start_ns")
-
-    def __init__(self, telemetry: "Telemetry", name: str,
-                 attrs: Dict[str, object]):
-        self._telemetry = telemetry
-        self._name = name
-        self._attrs = attrs
-        self._span_cm = None
-        self._start_ns = 0
-
-    def __enter__(self):
-        self._start_ns = time.perf_counter_ns()
-        self._span_cm = self._telemetry.tracer.span(self._name, **self._attrs)
-        return self._span_cm.__enter__()
-
-    def __exit__(self, *exc_info) -> bool:
-        self._span_cm.__exit__(*exc_info)
-        self._telemetry.registry.histogram(self._name).observe(
-            time.perf_counter_ns() - self._start_ns)
-        return False
-
-
-class _NullOp:
-    __slots__ = ()
-
-    def __enter__(self):
-        return NULL_SPAN
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-_NULL_OP = _NullOp()
 
 
 class Telemetry:
@@ -78,6 +39,10 @@ class Telemetry:
         self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(enabled=enabled and tracing,
                              max_spans=max_spans)
+        # Op histograms by name, each fetched from the registry once: the
+        # registry keeps one instance per name and ``reset`` zeroes it in
+        # place, so the cached instance is always the registered one.
+        self._op_histograms: Dict[str, LatencyHistogram] = {}
 
     @classmethod
     def disabled(cls) -> "Telemetry":
@@ -98,18 +63,25 @@ class Telemetry:
         return self.registry.timer(name)
 
     def span(self, name: str, **attrs: object):
-        return self.tracer.span(name, **attrs)
+        tracer = self.tracer
+        return Span(tracer, name, attrs) if tracer.enabled else NULL_SPAN
 
     def op(self, name: str, **attrs: object):
         """Trace span *and* latency histogram for one operation.
 
         The context target is the live :class:`Span` (or a shared null
-        span when disabled), so callers may ``span.set_attr(...)``
+        span when tracing is off), so callers may ``span.set_attr(...)``
         results discovered mid-operation.
         """
         if not self.enabled:
-            return _NULL_OP
-        return _OpContext(self, name, attrs)
+            return NULL_SPAN
+        histogram = self._op_histograms.get(name)
+        if histogram is None:
+            histogram = self._op_histograms[name] = self.registry.histogram(
+                name)
+        tracer = self.tracer
+        return Span(tracer if tracer.enabled else None, name, attrs,
+                    histogram)
 
     # -- exports ---------------------------------------------------------
 

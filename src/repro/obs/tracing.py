@@ -18,7 +18,8 @@ Determinism and bounds:
 * the active-span stack is **per thread** (``threading.local``): each
   request-engine worker builds its own span tree, so a span opened on
   one thread can never be adopted as the parent of another thread's
-  span.  The ring-buffer append and the id counters are single atomic
+  span.  A span leaves the stack it was pushed on, whichever thread
+  closes it.  The ring-buffer append and the id counters are single atomic
   operations under CPython, so finished spans from all threads land in
   one shared, bounded buffer without a lock.
 
@@ -32,27 +33,87 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-import time
 from collections import deque
+from time import perf_counter_ns
 from typing import Deque, Dict, List, Optional
+
+from .histogram import LatencyHistogram
 
 
 class Span:
-    """One timed, attributed node in a trace tree."""
+    """One timed, attributed node in a trace tree, and the ``with`` block
+    that times it.
+
+    :meth:`Tracer.span` and ``Telemetry.op`` hand out an unopened span.
+    Entering it reads the clock once, takes its ids and parent from the
+    calling thread's stack, pushes itself there and keeps that stack;
+    exiting reads the clock once, pops it from the kept stack (so a span
+    closed on another thread still leaves the opening thread's stack),
+    appends it to the tracer's ring and, for an op, records the duration
+    in the op's histogram.  A finished span then drops its tracer, stack
+    and histogram: the ring holds spans, not the threads that made them.
+
+    A span built without a tracer is an op under
+    ``Telemetry(tracing=False)``: it only times the histogram, and its
+    ``with`` target is :data:`NULL_SPAN`.
+    """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name",
-                 "start_ns", "end_ns", "attrs")
+                 "start_ns", "end_ns", "attrs",
+                 "_tracer", "_stack", "_histogram")
 
-    def __init__(self, trace_id: int, span_id: int,
-                 parent_id: Optional[int], name: str,
-                 start_ns: int, attrs: Dict[str, object]):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+    def __init__(self, tracer: Optional["Tracer"], name: str,
+                 attrs: Dict[str, object],
+                 histogram: Optional[LatencyHistogram] = None):
+        self._tracer = tracer
         self.name = name
-        self.start_ns = start_ns
-        self.end_ns = start_ns
         self.attrs = attrs
+        self._histogram = histogram
+
+    def __enter__(self):
+        tracer = self._tracer
+        if tracer is None:
+            self.start_ns = perf_counter_ns()
+            return NULL_SPAN
+        stacks = tracer._stacks
+        try:
+            stack = stacks.stack
+        except AttributeError:
+            stack = stacks.stack = []
+        if stack:
+            parent = stack[-1]
+            self.trace_id = parent.trace_id
+            self.parent_id = parent.span_id
+        else:
+            self.trace_id = next(tracer._trace_ids)
+            self.parent_id = None
+        self.span_id = next(tracer._span_ids)
+        stack.append(self)
+        self._stack = stack
+        self.start_ns = self.end_ns = perf_counter_ns()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        end_ns = self.end_ns = perf_counter_ns()
+        if self._histogram is not None:
+            self._histogram.observe(end_ns - self.start_ns)
+        tracer = self._tracer
+        if tracer is None:
+            return False
+        stack = self._stack
+        if (stack and stack[-1] is self
+                and getattr(tracer._stacks, "stack", None) is stack):
+            stack.pop()
+        else:
+            # Closed out of order or on another thread: one atomic
+            # remove, which keeps any span the owning thread has pushed.
+            try:
+                stack.remove(self)
+            except ValueError:
+                pass
+        tracer._finished.append(self)
+        self._tracer = self._stack = self._histogram = None
+        return False
 
     def set_attr(self, key: str, value: object) -> None:
         self.attrs[key] = value
@@ -110,50 +171,6 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _SpanContext:
-    """Context manager that opens a span on enter and closes on exit."""
-
-    __slots__ = ("_tracer", "_name", "_attrs", "_span")
-
-    def __init__(self, tracer: "Tracer", name: str,
-                 attrs: Dict[str, object]):
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-        self._span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        tracer = self._tracer
-        stack = tracer._thread_stack()
-        parent = stack[-1] if stack else None
-        if parent is None:
-            trace_id = next(tracer._trace_ids)
-            parent_id = None
-        else:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-        span = Span(trace_id, next(tracer._span_ids), parent_id,
-                    self._name, time.perf_counter_ns(), self._attrs)
-        stack.append(span)
-        self._span = span
-        return span
-
-    def __exit__(self, *exc_info) -> bool:
-        span = self._span
-        span.end_ns = time.perf_counter_ns()
-        tracer = self._tracer
-        stack = tracer._thread_stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        else:  # exception unwound out of order; stay consistent
-            try:
-                stack.remove(span)
-            except ValueError:
-                pass
-        tracer._finished.append(span)
-        return False
-
-
 class Tracer:
     """Factory and bounded buffer for spans."""
 
@@ -169,22 +186,17 @@ class Tracer:
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
 
-    def _thread_stack(self) -> List[Span]:
-        stack = getattr(self._stacks, "stack", None)
-        if stack is None:
-            stack = self._stacks.stack = []
-        return stack
-
     def span(self, name: str, **attrs: object):
-        """Open a child of the innermost active span (or a new trace)."""
+        """A child of the innermost active span (or a new trace), opened
+        by its ``with`` block."""
         if not self.enabled:
             return NULL_SPAN
-        return _SpanContext(self, name, attrs)
+        return Span(self, name, attrs)
 
     @property
     def current_span(self) -> Optional[Span]:
         """The calling thread's innermost active span, if any."""
-        stack = self._thread_stack()
+        stack = getattr(self._stacks, "stack", None)
         return stack[-1] if stack else None
 
     # -- reads -----------------------------------------------------------

@@ -4,8 +4,11 @@ import pytest
 
 import helpers
 from repro import errors
+from repro.baseline.gdprbench import PURPOSE_ANALYTICS, RgpdOSAdapter
 from repro.core.ded import STAGES
 from repro.core.processing_log import OUTCOME_COMPLETED, OUTCOME_DENIED
+from repro.kernel.seccomp import FilterRule, pd_function_profile
+from repro.workloads.generator import PopulationGenerator
 
 
 @pytest.fixture
@@ -185,3 +188,27 @@ class TestProduceMarkerValidation:
         system.register(rogue_producer, sysadmin_approved=True)
         with pytest.raises(errors.InvocationError):
             system.invoke("rogue_producer", target=alice)
+
+
+class TestNoPerInvocationFilter:
+    def test_invocations_build_no_seccomp_rules(self, monkeypatch):
+        """A DED installs no seccomp filter, so it must not build one."""
+        adapter = RgpdOSAdapter(with_machine=False)
+        subjects = PopulationGenerator(seed=5).subjects(10)
+        keys = adapter.insert_many([
+            (subject, {PURPOSE_ANALYTICS: "v_ano"} if index % 3 else {})
+            for index, subject in enumerate(subjects)
+        ])
+        built = []
+        validate = FilterRule.__post_init__
+
+        def counting_post_init(rule):
+            built.append(rule.syscall)
+            validate(rule)
+
+        monkeypatch.setattr(FilterRule, "__post_init__", counting_post_init)
+        for index in range(100):
+            adapter.read(keys[index % len(keys)], PURPOSE_ANALYTICS)
+        assert built == []
+        pd_function_profile()
+        assert built  # the counter does see a profile build

@@ -11,6 +11,7 @@ from repro.obs import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_TIMER,
+    Telemetry,
 )
 
 
@@ -146,3 +147,27 @@ class TestDisabledRegistry:
         assert registry.histograms == {}
         snapshot = registry.as_dict()
         assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
+
+
+class TestOpHistograms:
+    def test_tracing_off_records_samples_and_no_spans(self):
+        telemetry = Telemetry(tracing=False)
+        with telemetry.op("op.outer") as span:
+            span.set_attr("ignored", 1)
+            with telemetry.op("op.inner"):
+                pass
+        assert span.attrs == {}
+        assert len(telemetry.tracer) == 0
+        assert telemetry.tracer.current_span is None
+        histograms = telemetry.registry.histograms
+        assert histograms["op.outer"].count == 1
+        assert histograms["op.inner"].count == 1
+
+    def test_op_after_reset_counts_in_the_registered_histogram(self):
+        telemetry = Telemetry()
+        with telemetry.op("ps.invoke"):
+            pass
+        telemetry.registry.reset()
+        with telemetry.op("ps.invoke"):
+            pass
+        assert telemetry.registry.histograms["ps.invoke"].count == 1

@@ -8,6 +8,7 @@ histogram never loses an observation, and the tracer never interleaves
 two threads' spans into one broken tree.
 """
 
+import sys
 import threading
 
 from repro.obs import LatencyHistogram, MetricsRegistry, Telemetry
@@ -118,6 +119,48 @@ class TestTracerThreadIsolation:
         for inner in inners:
             parent = by_id[inner.parent_id]
             assert parent.name == "outer"
+
+    def test_parallel_ops_build_separate_trees_and_count_exactly(self):
+        """A short switch interval makes threads interleave inside span
+        enter and exit."""
+        telemetry = Telemetry()
+        workers, ops = 4, 300
+        errors = []
+
+        def worker(i):
+            try:
+                for _ in range(ops):
+                    with telemetry.op("op.outer", worker=i):
+                        with telemetry.op("op.inner", worker=i):
+                            pass
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(f"worker {i}: {exc!r}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        spans = telemetry.tracer.finished_spans()
+        by_id = {s.span_id: s for s in spans}
+        inners = [s for s in spans if s.name == "op.inner"]
+        assert len(inners) == workers * ops
+        for inner in inners:
+            parent = by_id[inner.parent_id]
+            assert parent.name == "op.outer"
+            assert parent.attrs["worker"] == inner.attrs["worker"]
+            assert parent.trace_id == inner.trace_id
+        histograms = telemetry.registry.histograms
+        assert histograms["op.outer"].count == workers * ops
+        assert histograms["op.inner"].count == workers * ops
 
     def test_disabled_telemetry_is_safe_in_parallel(self):
         telemetry = Telemetry.disabled()

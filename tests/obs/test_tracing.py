@@ -2,10 +2,15 @@
 end-to-end traces across a full ``invoke()`` and a sharded
 ``bulk_erase()``."""
 
+import gc
+import threading
+
 import pytest
 
 from repro import RgpdOS, Telemetry
+from repro.baseline.gdprbench import PURPOSE_ANALYTICS, RgpdOSAdapter
 from repro.obs import Tracer
+from repro.workloads.generator import PopulationGenerator
 
 import helpers
 from conftest import LISTING1_DECLARATIONS
@@ -81,6 +86,63 @@ class TestSpanNesting:
         assert [s.name for s in tracer.finished_spans()] == [
             "s6", "s7", "s8", "s9"
         ]
+
+
+class TestSpanLifecycle:
+    def test_span_closed_on_another_thread_leaves_the_opening_stack(self):
+        tracer = Tracer()
+        span = tracer.span("x")
+        span.__enter__()
+        closer = threading.Thread(target=span.__exit__,
+                                  args=(None, None, None))
+        closer.start()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+        assert tracer.current_span is None
+        with tracer.span("later") as later:
+            pass
+        assert later.parent_id is None
+        assert [s.name for s in tracer.finished_spans()] == ["x", "later"]
+
+    def test_op_and_tracer_spans_nest_in_both_orders(self):
+        telemetry = Telemetry()
+        with telemetry.op("op.outer") as op_outer:
+            with telemetry.span("span.inner") as span_inner:
+                pass
+        with telemetry.span("span.outer") as span_outer:
+            with telemetry.op("op.inner") as op_inner:
+                pass
+        assert span_inner.parent_id == op_outer.span_id
+        assert span_inner.trace_id == op_outer.trace_id
+        assert op_inner.parent_id == span_outer.span_id
+        assert op_inner.trace_id == span_outer.trace_id
+        assert op_outer.trace_id != span_outer.trace_id
+
+    def test_exception_in_nested_ops_unwinds_and_records_both(self):
+        telemetry = Telemetry()
+        with pytest.raises(ValueError):
+            with telemetry.op("op.outer"):
+                with telemetry.op("op.inner"):
+                    raise ValueError("boom")
+        assert telemetry.tracer.current_span is None
+        assert sorted(s.name for s in telemetry.tracer.finished_spans()) == [
+            "op.inner", "op.outer"
+        ]
+        histograms = telemetry.registry.histograms
+        assert histograms["op.outer"].count == 1
+        assert histograms["op.inner"].count == 1
+
+    def test_finished_span_holds_no_tracer_or_stack(self):
+        telemetry = Telemetry()
+        with telemetry.op("op.outer", subject_id="alice"):
+            with telemetry.span("span.inner", shard=1):
+                pass
+        finished = telemetry.tracer.finished_spans()
+        assert len(finished) == 2
+        for span in finished:
+            referents = gc.get_referents(span)
+            assert not any(r is telemetry.tracer for r in referents)
+            assert not any(isinstance(r, list) for r in referents)
 
 
 class TestDisabledTracer:
@@ -203,3 +265,47 @@ class TestSystemTraces:
         # the per-shard journal batches nest under the shard fan-out
         batch_spans = [s for s in spans if s.name == "journal.batch"]
         assert len(batch_spans) == len(shard_spans)
+
+
+class TestPointReadTrace:
+    """The span tree of one warm, consented ``bench_analytics`` point
+    read: the shape perfbench's ``processor`` workload repeats."""
+
+    EXPECTED_PAIRS = [
+        ("dbfs.decode", "dbfs.fetch_records"),
+        ("dbfs.fetch_records", "ded.ded_load_data"),
+        ("dbfs.query_membranes", "ded.ded_load_membrane"),
+        ("ded.ded_execute", "ded.run"),
+        ("ded.ded_filter", "ded.run"),
+        ("ded.ded_load_data", "ded.run"),
+        ("ded.ded_load_membrane", "ded.run"),
+        ("ded.ded_return", "ded.run"),
+        ("ded.ded_type2req", "ded.run"),
+        ("ded.run", "ps.invoke"),
+        ("ps.invoke", None),
+    ]
+
+    def test_span_pairs_and_histogram_counts(self):
+        adapter = RgpdOSAdapter(with_machine=False)
+        (subject,) = PopulationGenerator(seed=3).subjects(1)
+        key = adapter.insert(subject, {PURPOSE_ANALYTICS: "v_ano"})
+        assert adapter.read(key, PURPOSE_ANALYTICS) is not None
+        telemetry = adapter.system.telemetry
+        telemetry.tracer.clear()
+        telemetry.registry.reset()
+
+        assert adapter.read(key, PURPOSE_ANALYTICS) is not None
+
+        spans = telemetry.tracer.finished_spans()
+        names = {span.span_id: span.name for span in spans}
+        assert sorted(
+            (span.name, names.get(span.parent_id)) for span in spans
+        ) == self.EXPECTED_PAIRS
+        counted = {
+            name: histogram.count
+            for name, histogram in telemetry.registry.histograms.items()
+            if histogram.count
+        }
+        assert counted == {
+            name: 1 for name, _ in self.EXPECTED_PAIRS if name != "dbfs.decode"
+        }
