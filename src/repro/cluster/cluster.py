@@ -34,10 +34,11 @@ GDPR-native properties, by construction:
   PD cannot be assigned to a non-adequate region, and the check re-runs
   on failover (an adequacy decision that lapsed in between disqualifies
   the candidate).
-* **Failover reuses the crash paths.**  :meth:`fail_leader` kills the
-  leader mid-workload; :meth:`promote` picks the most-caught-up
-  *adequate* follower (re-running its in-place remount as a promotion
-  fsck); :meth:`demote` recovers the old leader's devices through the
+* **Failover reuses the crash recovery.**  :meth:`fail_leader` kills
+  the leader mid-workload; :meth:`promote` picks the most-caught-up
+  *adequate* follower (running its in-place remount — the same crash
+  recovery as a true-crash remount — as a promotion fsck);
+  :meth:`demote` recovers the old leader's devices through the
   true-crash ``remount_from_device(s)`` path, re-checks placement,
   reconciles divergence, and rejoins it as a follower — at which point
   the zero-residue check must still hold on it.
@@ -771,8 +772,8 @@ class ReplicatedCluster:
         re-checks each one at the *current* instant (Chapter V applies
         to failover too — a more-caught-up follower in a region whose
         adequacy lapsed loses to a less-caught-up adequate one).  The
-        winner re-runs the in-place remount path as a promotion fsck,
-        then takes over capture; its retained history becomes the new
+        winner runs its in-place remount (crash recovery) as a
+        promotion fsck, then takes over capture; its retained history becomes the new
         shipping log so surviving followers catch up by delta.
         """
         with self._lock:
@@ -801,9 +802,10 @@ class ReplicatedCluster:
                     f.applied_schema + sum(f.applied), f.node_id
                 ),
             )
-            # Promotion fsck: the same in-place remount crash recovery
-            # runs after a power cut — journals recover, trees and
-            # volatile indexes rebuild from durable state.
+            # Promotion fsck: the crash recovery a true-crash remount
+            # runs, in place — journals recover, half-done work is
+            # finished or undone, trees and volatile indexes rebuild
+            # from durable state, and orphaned blocks are scrubbed.
             new_leader.store.remount()
             old = self._leader
             self._followers.remove(new_leader)

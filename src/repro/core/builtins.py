@@ -207,8 +207,12 @@ class BuiltinFunctions:
 
         # Establish the lineage group on first copy.
         if not membrane.lineage:
-            membrane.lineage = target.uid
-            self.dbfs.put_membrane(target.uid, membrane, self.credential)
+            self.dbfs.change_membrane(
+                target.uid,
+                lambda m: setattr(m, "lineage", target.uid),
+                self.credential,
+            )
+            membrane = self.dbfs.get_membrane(target.uid, self.credential)
 
         record = _full_record(
             self.dbfs, target.uid, membrane.pd_type, self.credential
@@ -270,10 +274,10 @@ class BuiltinFunctions:
         copies": consent grants, revocations and restrictions call
         through here.  Returns the uids updated.
 
-        The whole get-mutate-put sequence (for the full lineage group,
-        which is shard-affine) runs under the owning shard's writer
-        lock, so two concurrent consent changes to the same lineage
-        serialize instead of losing one side's update.
+        The whole read-modify-write sequence (for the full lineage
+        group, which is shard-affine) runs under the owning shard's
+        writer lock, so two concurrent consent changes to the same
+        lineage serialize instead of losing one side's update.
         """
         updated = []
         with self.dbfs.write_lock(uid):
@@ -281,8 +285,7 @@ class BuiltinFunctions:
                 membrane = self.dbfs.get_membrane(member_uid, self.credential)
                 if membrane.erased:
                     continue
-                mutate(membrane)
-                self.dbfs.put_membrane(member_uid, membrane, self.credential)
+                self.dbfs.change_membrane(member_uid, mutate, self.credential)
                 updated.append(member_uid)
         return updated
 

@@ -170,8 +170,8 @@ class CacheConfig:
                                   is always on)
     ``membrane_cache_entries``    LRU bound shared by the membrane JSON
                                   and decoded-object caches (entries per
-                                  cache); both write through on
-                                  ``put_membrane`` so eviction only ever
+                                  cache); both write through on every
+                                  membrane write, so eviction only ever
                                   costs a re-read, never staleness
     ``decision_cache_entries``    DED membrane-decision cache capacity
                                   ((uid, purpose, version) entries);

@@ -532,9 +532,7 @@ class CrashSim:
                 f"{type(exc).__name__}: {exc}"
             )
             return trial
-        trial.recovery_report = dict(
-            getattr(recovered, "recovery_report", {}) or {}
-        )
+        trial.recovery_report = dict(recovered.recovery_report)  # type: ignore[union-attr]
         trial.failures = self.check_invariants(
             recovered, devices, progress, uids
         )

@@ -189,17 +189,8 @@ class DatabaseFS:
         scan_batch_rows: int = 256,
         bloom_filters: bool = True,
     ) -> None:
-        self.cache_config = cache_config if cache_config is not None else DEFAULT_CACHE_CONFIG
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: Rows per chunk on the batched read path; 0 restores the
-        #: row-at-a-time legacy scan (the batching benchmark's baseline).
-        self.scan_batch_rows = scan_batch_rows
-        #: Per-table subject/uid bloom filters gating negative lookups.
-        self.bloom_filters = bloom_filters
-        self.device = device or BlockDevice(
-            page_cache_blocks=self.cache_config.page_cache_blocks,
-            telemetry=self.telemetry,
-        )
+        self._configure(device, operator_key, cache_config, telemetry,
+                        scan_batch_rows, bloom_filters)
         # Inode capacity tracks the device: a bigger device (the
         # sharding benchmarks size devices per population slice) gets
         # a proportionally bigger table; the default 65536-block
@@ -207,7 +198,6 @@ class DatabaseFS:
         self.inodes = InodeTable(
             self.device, max_inodes=max(65536, self.device.block_count)
         )
-        self._operator_key = operator_key
         # Metadata-only journal (no PD payloads ever).
         self.journal = Journal(
             self.device, reserved_blocks=journal_blocks, config=journal_config,
@@ -228,13 +218,37 @@ class DatabaseFS:
         self._formats_root.attrs["role"] = "formats-root"
         self._indexes_root.attrs["role"] = "indexes-root"
         self._subjects_root.attrs["journal_extent"] = self.journal.extent
+        self._init_session()
 
+    def _configure(
+        self, device: Optional[BlockDevice],
+        operator_key: Optional[OperatorKey],
+        cache_config: Optional[CacheConfig], telemetry: Optional[Telemetry],
+        scan_batch_rows: int, bloom_filters: bool,
+    ) -> None:
+        """Settings a fresh store and a remounted one take alike."""
+        self.cache_config = cache_config if cache_config is not None else DEFAULT_CACHE_CONFIG
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        #: Rows per chunk on the batched read path; 0 restores the
+        #: row-at-a-time legacy scan (the batching benchmark's baseline).
+        self.scan_batch_rows = scan_batch_rows
+        #: Per-table subject/uid bloom filters gating negative lookups.
+        self.bloom_filters = bloom_filters
+        self.device = device or BlockDevice(
+            page_cache_blocks=self.cache_config.page_cache_blocks,
+            telemetry=self.telemetry,
+        )
+        self._operator_key = operator_key
+
+    def _init_session(self) -> None:
+        """Locks, derived structures and counters of a new object,
+        once its inode table, roots and journal are in place."""
         self._init_concurrency()
         self._init_volatile()
         self.stats = DBFSStats()
         self._init_accel_counters()
-        #: Crash-reconciliation report of the last remount_from_device
-        #: (rolled-back stores, redone erasures, orphan sweeps).
+        #: Crash-reconciliation report of the last remount (rolled-back
+        #: stores, redone erasures, orphan sweeps).
         self.recovery_report: Dict[str, int] = {}
 
     def _init_accel_counters(self) -> None:
@@ -285,11 +299,11 @@ class DatabaseFS:
         self.mutation_observers: List[
             Callable[[str, Dict[str, object]], None]
         ] = []
-        # A delete's _finish_erase persists the membrane through
-        # put_membrane; replaying that nested membrane_update *before*
-        # the delete op would leave an "erased" membrane over a live
-        # plaintext record on followers.  The delete path raises this
-        # flag so only its own op record ships.
+        # _finish_erase persists the erased membrane through
+        # change_membrane; replaying that nested membrane_update
+        # *before* the delete op would leave an "erased" membrane over
+        # a live plaintext record on followers.  _finish_erase raises
+        # this flag so only its own delete op record ships.
         self._suppress_mutation_notify = False
 
     def _init_volatile(self) -> None:
@@ -350,9 +364,9 @@ class DatabaseFS:
         self._listing_cache: Dict[str, List[str]] = {}
         # Decoded Membrane objects (uid -> Membrane), sharing one
         # object per uid instead of re-running Membrane.from_json per
-        # decision.  Safe because every mutation site follows the
-        # get -> mutate -> put_membrane discipline and put_membrane
-        # refreshes this cache alongside the JSON cache.  Shares the
+        # decision.  Readers only: writers change a private copy
+        # (change_membrane), which _persist_membrane caches once the
+        # write commits and no caller holds it.  Shares the
         # membrane_cache_entries bound with the JSON cache above.
         self._membrane_cache = LRUCache(
             self.cache_config.membrane_cache_entries,
@@ -1103,8 +1117,8 @@ class DatabaseFS:
         # the journal *before* any tree write, and the COMMIT (or the
         # surrounding batch's group commit) seals it only after the
         # trees hold the full record.  A crash mid-apply therefore
-        # leaves an uncommitted intent, which remount_from_device uses
-        # to roll the half-born record back.
+        # leaves an uncommitted intent, which either remount uses to
+        # roll the half-born record back.
         self.journal.begin()
         self.journal.log_delete(f"store:{uid}")
         try:
@@ -1344,49 +1358,83 @@ class DatabaseFS:
     def put_membrane(
         self, uid: str, membrane: Membrane, credential: AccessCredential
     ) -> None:
-        """Persist a membrane change (consent grant/revoke, erasure flag)."""
+        """Persist a whole membrane state as given (replication replay,
+        anti-entropy); local changes use :meth:`change_membrane`.
+        ``membrane`` stays the caller's: DBFS keeps its own decoding."""
         self._require_ded(credential, "put_membrane")
+        self._persist_membrane(
+            uid, self._stored_membrane_json(uid),
+            Membrane.from_json(membrane.to_json()),
+        )
+
+    @_locked_writer
+    def change_membrane(
+        self, uid: str, mutate: Callable[[Membrane], None],
+        credential: AccessCredential,
+    ) -> None:
+        """Consent, restriction, lineage or erasure change of one
+        membrane.  ``mutate`` edits a private copy decoded from the
+        stored JSON, never the object the cache serves to readers, so
+        no reader sees the change before it commits."""
+        self._require_ded(credential, "change_membrane")
+        old_json = self._stored_membrane_json(uid)
+        membrane = Membrane.from_json(old_json)
+        mutate(membrane)
+        self._persist_membrane(uid, old_json, membrane)
+
+    def _stored_membrane_json(self, uid: str) -> str:
+        """The membrane JSON the inode holds.  The JSON cache is
+        write-through with the inode, so a cache hit is authoritative."""
+        cached = self._membrane_json_cache.peek(uid)
+        if cached is not MISSING:
+            return cached  # type: ignore[return-value]
         inode_no = self._membrane_index.get(uid)
         if inode_no is None:
             raise errors.UnknownRecordError(f"no PD with uid {uid!r}")
+        return self.inodes.read_payload(inode_no).decode()
+
+    def _persist_membrane(
+        self, uid: str, old_json: str, membrane: Membrane
+    ) -> None:
+        """The single membrane-persist path.  ``old_json`` is the state
+        it replaces; ``membrane`` is an object no caller holds, which
+        the object cache takes once the write commits."""
         encoded = membrane.to_json()
-        # Capture the pre-mutation state for MVCC: a snapshot that
-        # began before this commit keeps reading the old consent JSON
-        # through the membrane chain.  The JSON cache is write-through
-        # with the inode, so a cache hit is authoritative.
-        old_json = self._membrane_json_cache.peek(uid)
-        if old_json is MISSING:
-            old_json = self.inodes.read_payload(inode_no).decode()
         # Pre-register the publish: from here until stamp_membrane
         # commits, the new JSON is (or is about to be) live in the
         # inode and caches, and any snapshot — already active or
         # beginning inside this window — must keep resolving the old
         # consent state through the chain, not the live structures.
-        self.mvcc.prepare_membrane(uid, old_json)  # type: ignore[arg-type]
-        self.inodes.rewrite_scrubbed(inode_no, encoded.encode())
-        # Write-through invariant: both membrane caches are refreshed
-        # (or dropped) in the same step that rewrites the inode, so a
-        # bounded cache can evict freely without ever serving a stale
-        # consent state.
+        self.mvcc.prepare_membrane(uid, old_json)
+        try:
+            self.inodes.rewrite_scrubbed(
+                self._membrane_index[uid], encoded.encode()
+            )
+            # Keep the record inode's metadata markers in step.
+            record_no = self._record_index.get(uid)
+            if record_no is not None:
+                record_attrs = self.inodes.get(record_no).attrs
+                record_attrs["lineage"] = membrane.lineage
+                record_attrs["erased"] = membrane.erased
+            if membrane.lineage:
+                with self._index_lock:
+                    self._lineage_index.setdefault(membrane.lineage, set()).add(uid)
+            self._journal_op("membrane_update", uid)
+        except BaseException:
+            # The inode holds whichever state the failure left: drop
+            # both cached states so the next read takes it from there.
+            self._membrane_json_cache.invalidate(uid)
+            self._membrane_cache.invalidate(uid)
+            raise
+        # Write-through, after the commit.
         self._membrane_json_cache.put(uid, encoded)
         if self.cache_config.membrane_object_cache:
             self._membrane_cache.put(uid, membrane)
         else:
             self._membrane_cache.invalidate(uid)
-        # Keep the record inode's metadata markers in step with the
-        # membrane (put_membrane is the single membrane-persist path).
-        record_no = self._record_index.get(uid)
-        if record_no is not None:
-            record_attrs = self.inodes.get(record_no).attrs
-            record_attrs["lineage"] = membrane.lineage
-            record_attrs["erased"] = membrane.erased
-        if membrane.lineage:
-            with self._index_lock:
-                self._lineage_index.setdefault(membrane.lineage, set()).add(uid)
-        self._journal_op("membrane_update", uid)
         # Chain entry lands after the journal commit: revocation and
         # RTBF become visible to every snapshot begun from here on.
-        self.mvcc.stamp_membrane(uid, old_json, encoded)  # type: ignore[arg-type]
+        self.mvcc.stamp_membrane(uid, old_json, encoded)
         self._notify_mutation(
             "membrane_update",
             {
@@ -1418,7 +1466,8 @@ class DatabaseFS:
           cancels it.
 
         A delete's own erased-membrane write is not reported; the
-        ``delete`` op that follows it stands for both.
+        ``delete`` op that follows it stands for both.  An erasure that
+        :meth:`remount` completes is reported the same way.
         """
         self.mutation_observers.append(observer)
 
@@ -1728,20 +1777,8 @@ class DatabaseFS:
             # entries are destroyed, never resurrected.
             self._unindex_record(membrane.pd_type, request.uid, record)
             self._scrub_record(request.uid, request.mode)
-        self._suppress_mutation_notify = True
-        try:
-            membrane = self._finish_erase(request.uid, credential)
-        finally:
-            self._suppress_mutation_notify = False
+        membrane = self._finish_erase(request.uid, request.mode, credential)
         self.stats.deletes += 1
-        self._notify_mutation(
-            "delete",
-            {
-                "uid": request.uid,
-                "subject_id": membrane.subject_id,
-                "mode": request.mode,
-            },
-        )
         return membrane
 
     def _scrub_record(self, uid: str, mode: str) -> None:
@@ -1773,15 +1810,8 @@ class DatabaseFS:
                 for block_no in old_blocks:
                     self.device.scrub(block_no)
                     self.device.free(block_no)
-            envelope = inode.attrs.get("escrow_envelope")
-            if envelope is not None and uid not in self._escrow_blobs:
-                self._escrow_blobs[uid] = EscrowBlob(
-                    wrapped_key=envelope["wrapped_key"],
-                    nonce=bytes.fromhex(envelope["nonce"]),
-                    ciphertext=self.inodes.read_payload(inode_no),
-                    tag=bytes.fromhex(envelope["tag"]),
-                    key_fingerprint=envelope["key_fingerprint"],
-                )
+            if uid not in self._escrow_blobs:
+                self._load_escrow_blob(uid, inode_no)
         elif inode.size:
             # A live record always has a non-empty payload (at minimum
             # "{}"), so size == 0 means the swap already happened.
@@ -1795,15 +1825,28 @@ class DatabaseFS:
         # record is exactly the § 1 lower-layer leak, one level up.
         self._record_cache.invalidate(uid)
 
-    def _finish_erase(self, uid: str, credential: AccessCredential) -> Membrane:
-        """Mark the membrane erased and persist it (idempotent)."""
+    def _finish_erase(
+        self, uid: str, mode: str, credential: AccessCredential
+    ) -> Membrane:
+        """Mark the membrane erased, persist it, and report the erasure
+        to mutation observers as one ``delete`` op (idempotent)."""
         membrane = self._load_membrane(uid)
         with self._index_lock:
             self._listing_cache.pop(membrane.pd_type, None)
-        if not membrane.erased:
-            membrane.mark_erased(at=membrane.created_at)
-            self.put_membrane(uid, membrane, credential)
-        return membrane
+        if membrane.erased:
+            return membrane
+        self._suppress_mutation_notify = True
+        try:
+            self.change_membrane(
+                uid, lambda m: m.mark_erased(at=m.created_at), credential
+            )
+        finally:
+            self._suppress_mutation_notify = False
+        self._notify_mutation(
+            "delete",
+            {"uid": uid, "subject_id": membrane.subject_id, "mode": mode},
+        )
+        return self._load_membrane(uid)
 
     def _apply_erase(
         self, uid: str, mode: str, credential: AccessCredential
@@ -1814,7 +1857,19 @@ class DatabaseFS:
         durable index drops the uid from its own pages instead."""
         self._unindex_uid(uid)
         self._scrub_record(uid, mode)
-        return self._finish_erase(uid, credential)
+        return self._finish_erase(uid, mode, credential)
+
+    def _load_escrow_blob(self, uid: str, record_no: int) -> None:
+        """Index the escrow blob an escrowed record inode carries."""
+        envelope = self.inodes.get(record_no).attrs.get("escrow_envelope")
+        if envelope is not None:
+            self._escrow_blobs[uid] = EscrowBlob(
+                wrapped_key=envelope["wrapped_key"],
+                nonce=bytes.fromhex(envelope["nonce"]),
+                ciphertext=self.inodes.read_payload(record_no),
+                tag=bytes.fromhex(envelope["tag"]),
+                key_fingerprint=envelope["key_fingerprint"],
+            )
 
     def escrow_blob(self, uid: str) -> EscrowBlob:
         """The escrow ciphertext for an erased record (for authorities)."""
@@ -2211,37 +2266,21 @@ class DatabaseFS:
     # Crash recovery
     # ------------------------------------------------------------------
 
+    @_locked_writer
     def remount(self) -> Dict[str, int]:
-        """Rebuild every in-memory structure from the durable trees.
+        """Reboot in place: drop the page cache, re-read the journal
+        from its extent and run :meth:`_crash_recover` — the recovery
+        :meth:`remount_from_device` runs — on the live object.
 
-        Simulates a reboot: the inode trees and their payloads are the
-        only state that survives; the type registry, record/membrane
-        indexes, lineage index, caches and escrow blobs are all derived
-        from them.  Returns counts of what was recovered.  A live
-        session that calls this must observe no behavioural change —
-        the remount tests assert exactly that.
-
-        This in-place variant reuses the live ``Journal`` object and
-        assumes the last operation completed; after a simulated power
-        cut use :meth:`remount_from_device`, which also reconciles
-        half-applied operations against the journal.
+        On a store whose last operation completed it repairs nothing,
+        and a live session observes no behavioural change.  Mutation
+        observers stay subscribed; an erasure the recovery completes
+        reaches them as a ``delete``.  Returns :attr:`recovery_report`.
         """
-        start_ns = time.perf_counter_ns()
-        self._init_volatile()
-
-        # 0. Journal recovery: re-read the committed log from the
-        # device (crash-recovery cost ∝ live log length — this is the
-        # phase the auto-checkpoint policy bounds).  DBFS journals
-        # metadata only, so the trees below stay authoritative; the
-        # recovered records are accounted in ``journal.stats`` rather
-        # than in the (idempotent) return dict.
+        self.device.drop_page_cache()
         self.journal.recover()
-
-        counts = self._rebuild_trees()
-        counts["field_indexes"] = self._rebuild_field_indexes()
-        self._journal_op("remount", f"records={counts['records']}")
-        self._hist_remount.observe(time.perf_counter_ns() - start_ns)
-        return counts
+        self.recovery_report = self._crash_recover()
+        return self.recovery_report
 
     @classmethod
     def remount_from_device(
@@ -2270,29 +2309,16 @@ class DatabaseFS:
            rebuild the journal from its reserved extent alone
            (:meth:`Journal.remount` — a fresh object, device bytes
            only);
-        3. reconcile half-applied operations against the journal:
-           uncommitted store intents roll *back* (the half-born record
-           is unlinked), committed or already-started erase intents
-           roll *forward* (erasing more, never resurrecting PD — the
-           RTBF-safe direction), untouched uncommitted erases keep
-           their record intact;
-        4. rebuild the derived indexes, then scrub every unreachable
-           inode and orphaned block so no PD residue survives in
-           debris the trees no longer reference.
+        3. run :meth:`_crash_recover`, the recovery :meth:`remount`
+           runs in place.
 
         The reconciliation report lands in :attr:`recovery_report`.
         """
         fs = cls.__new__(cls)
-        fs.cache_config = (
-            cache_config if cache_config is not None else DEFAULT_CACHE_CONFIG
-        )
-        fs.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        fs.scan_batch_rows = scan_batch_rows
-        fs.bloom_filters = bloom_filters
-        fs.device = device
+        fs._configure(device, operator_key, cache_config, telemetry,
+                      scan_batch_rows, bloom_filters)
         device.drop_page_cache()
         fs.inodes = inodes
-        fs._operator_key = operator_key
 
         roots: Dict[str, Inode] = {}
         for number in inodes.numbers():
@@ -2321,22 +2347,29 @@ class DatabaseFS:
             device, list(extent), config=journal_config, telemetry=fs.telemetry
         )
 
-        fs._init_concurrency()
-        fs._init_volatile()
-        fs.stats = DBFSStats()
-        fs._init_accel_counters()
-        start_ns = time.perf_counter_ns()
+        fs._init_session()
         fs.recovery_report = fs._crash_recover()
-        fs._hist_remount.observe(time.perf_counter_ns() - start_ns)
         return fs
 
-    def _crash_recover(self) -> Dict[str, int]:
-        """Reconcile half-applied operations against the journal.
+    def _crash_recover(self, rollback: Sequence[str] = ()) -> Dict[str, int]:
+        """Rebuild every derived structure from the durable trees and
+        reconcile half-applied operations against the journal.
 
-        Called once by :meth:`remount_from_device`, after the journal
-        itself has recovered (torn tail truncated, counters restored)
-        and before the store serves any request.
+        The one recovery routine: :meth:`remount` runs it in place,
+        :meth:`remount_from_device` on a fresh object, both after the
+        journal itself has recovered (torn tail truncated, counters
+        restored) and before the store serves any request.  Uncommitted
+        store intents roll *back* (the half-born record is unlinked),
+        committed or already-started erase intents roll *forward*
+        (erasing more, never resurrecting PD — the RTBF-safe
+        direction), untouched uncommitted erases keep their record
+        intact; then every unreachable inode and orphaned block is
+        scrubbed so no PD residue survives in debris the trees no
+        longer reference.  ``rollback`` names committed stores to
+        unwind as well (:meth:`rollback_stores`).  Returns the report.
         """
+        start_ns = time.perf_counter_ns()
+        self._init_volatile()
         # Intent records:
         # ("store" | "update" | "erase" | "escrow", uid, committed).
         all_records = list(self.journal.records())
@@ -2372,10 +2405,11 @@ class DatabaseFS:
         # 1. Roll back half-born records before touching the trees:
         # an uncommitted store may have linked a record that lacks its
         # membrane, which the rebuild below would (rightly) reject.
-        rolled_back = 0
-        for op, uid, committed in intents:
-            if op == "store" and not committed:
-                rolled_back += self._rollback_store(uid)
+        undone = [
+            uid for op, uid, committed in intents
+            if op == "store" and not committed
+        ] + list(rollback)
+        rolled_back = sum(self._rollback_store(uid) for uid in undone)
 
         # 1b. Bind the durable field indexes before the O(records)
         # tree rebuild — attach is pure inode metadata (O(#indexes),
@@ -2457,7 +2491,7 @@ class DatabaseFS:
         repaired = 0
         repair_uids = sorted({
             uid for op, uid, committed in intents if not committed
-        })
+        } | set(rollback))
         for uid in repair_uids:
             self._unindex_uid(uid)
             record_no = self._record_index.get(uid)
@@ -2479,7 +2513,6 @@ class DatabaseFS:
         # marked, so a rebuild never decodes an escrow ciphertext.
         for type_name, field_name in pending_backfills:
             self._backfill_index(type_name, field_name)
-        counts["field_indexes"] = attached + len(pending_backfills)
 
         # 5. Residue sweeps: rollbacks and interrupted shadow-writes
         # leave unreachable inodes / unreferenced blocks whose bytes
@@ -2488,10 +2521,12 @@ class DatabaseFS:
         orphan_blocks = self._scrub_orphan_blocks()
 
         self._journal_op("remount", f"records={counts['records']}")
+        self._hist_remount.observe(time.perf_counter_ns() - start_ns)
         return {
-            "records": counts["records"],
-            "types": counts["types"],
-            "field_indexes": counts["field_indexes"],
+            **counts,
+            "field_indexes": attached + len(pending_backfills),
+            "lineage_groups": len(self._lineage_index),
+            "escrow_blobs": len(self._escrow_blobs),
             "rolled_back_stores": rolled_back,
             "redone_erasures": redone,
             "index_repairs": repaired,
@@ -2532,15 +2567,7 @@ class DatabaseFS:
                 lineage = record_inode.attrs["lineage"]
                 if lineage:
                     self._lineage_index.setdefault(lineage, set()).add(uid)
-                envelope = record_inode.attrs.get("escrow_envelope")
-                if envelope is not None:
-                    self._escrow_blobs[uid] = EscrowBlob(
-                        wrapped_key=envelope["wrapped_key"],
-                        nonce=bytes.fromhex(envelope["nonce"]),
-                        ciphertext=self.inodes.read_payload(record_no),
-                        tag=bytes.fromhex(envelope["tag"]),
-                        key_fingerprint=envelope["key_fingerprint"],
-                    )
+                self._load_escrow_blob(uid, record_no)
                 if self.bloom_filters:
                     type_name = record_inode.attrs.get("pd_type")
                     if isinstance(type_name, str):
@@ -2552,28 +2579,7 @@ class DatabaseFS:
         if self.bloom_filters:
             self._rebuild_table_blooms(bloom_keys)
 
-        return {
-            "types": len(self._types),
-            "records": recovered_records,
-            "lineage_groups": len(self._lineage_index),
-            "escrow_blobs": len(self._escrow_blobs),
-        }
-
-    def _rebuild_field_indexes(self) -> int:
-        """Declared field indexes: attach durable roots, backfill strays.
-
-        Attaching a complete durable root is O(pages-metadata), not
-        O(records) — page payloads stay on the device until a lookup
-        touches them, which is what keeps remount cost flat in table
-        size.  A declared index whose root is missing or incomplete
-        (crash mid-``create_index``) is rebuilt from the table.
-        """
-        attach_start = time.perf_counter_ns()
-        attached, pending = self._attach_field_indexes()
-        self._hist_index_attach.observe(time.perf_counter_ns() - attach_start)
-        for type_name, field_name in pending:
-            self._backfill_index(type_name, field_name)
-        return attached + len(pending)
+        return {"types": len(self._types), "records": recovered_records}
 
     def _attach_field_indexes(self) -> Tuple[int, List[Tuple[str, str]]]:
         """Attach every declared, complete durable index root.
@@ -2878,26 +2884,21 @@ class DatabaseFS:
         self._journal_op("compact", f"reclaimed={reclaimed}")
         return report
 
+    @_locked_writer
     def rollback_stores(self, uids: Sequence[str]) -> int:
         """Roll back committed-but-torn cross-shard stores after recovery.
 
-        Used by ``ShardedDBFS.remount_from_devices`` when a fleet
-        batch committed on this shard but not on every participant:
-        the group as a whole never happened, so this shard's half is
-        unwound — trees unlinked, volatile indexes rebuilt, orphaned
-        inodes and blocks scrubbed.  Idempotent: uids already absent
-        roll back to nothing.  Returns how many stores were unwound.
+        Used by the fleet remount when a fleet batch committed on this
+        shard but not on every participant: the group as a whole never
+        happened, so this shard's half is unwound by another
+        :meth:`_crash_recover` pass that treats ``uids`` as uncommitted
+        stores.  :attr:`recovery_report` keeps the first pass's report.
+        Idempotent: uids already absent roll back to nothing.  Returns
+        how many stores were unwound.
         """
-        rolled = sum(self._rollback_store(uid) for uid in uids)
-        if rolled:
-            self._init_volatile()
-            self._rebuild_trees()
-            self._rebuild_field_indexes()
-            for uid in uids:
-                self._unindex_uid(uid)
-            self._free_unreachable_inodes()
-            self._scrub_orphan_blocks()
-        return rolled
+        if not any(uid in self._record_index for uid in uids):
+            return 0
+        return self._crash_recover(rollback=uids)["rolled_back_stores"]
 
     def _rollback_store(self, uid: str) -> int:
         """Undo a half-applied, uncommitted store intent.

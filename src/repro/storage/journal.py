@@ -225,6 +225,18 @@ class JournalStats:
     torn_records: int = 0         # torn tail records truncated at recovery
 
 
+def _check_extent_size(blocks: int) -> None:
+    if blocks < 4:
+        raise errors.JournalError(
+            f"journal needs at least 4 reserved blocks, got {blocks}"
+        )
+    if blocks > 0xFFFF:
+        raise errors.JournalError(
+            f"journal extent of {blocks} blocks exceeds the "
+            f"superblock's addressable {0xFFFF} slots"
+        )
+
+
 class Journal:
     """Circular write-ahead log stored on a reserved device extent.
 
@@ -243,31 +255,10 @@ class Journal:
         config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if reserved_blocks < 4:
-            raise errors.JournalError(
-                f"journal needs at least 4 reserved blocks, got {reserved_blocks}"
-            )
-        if reserved_blocks > 0xFFFF:
-            raise errors.JournalError(
-                f"journal extent of {reserved_blocks} blocks exceeds the "
-                f"superblock's addressable {0xFFFF} slots"
-            )
-        self.device = device
-        self.config = config or JournalConfig()
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._extent = device.allocate_many(reserved_blocks)
-        self._slot_of = {block: slot for slot, block in enumerate(self._extent)}
-        self._extent_cursor = 1  # next free slot; slot 0 is the superblock
-        self._records: List[JournalRecord] = []  # in-memory index of live records
-        self._record_blocks: List[List[int]] = []  # blocks backing each live record
-        self._next_sequence = 0
-        self._next_txn = 1
-        self._open: Optional[_OpenTransaction] = None
-        self._batching = False
-        self._checkpoint_holds = 0
-        self.reserved_blocks = reserved_blocks
-        self.stats = JournalStats()
-        self._sb_generation = 0
+        _check_extent_size(reserved_blocks)
+        self._init_state(
+            device, device.allocate_many(reserved_blocks), config, telemetry
+        )
         self._write_superblock(self._extent_cursor, self._next_sequence)
 
     @classmethod
@@ -287,29 +278,42 @@ class Journal:
         cursor restored so post-recovery appends neither reuse
         sequence numbers nor clobber live records.
         """
-        if len(extent) < 4:
-            raise errors.JournalError(
-                f"journal needs at least 4 reserved blocks, got {len(extent)}"
-            )
+        _check_extent_size(len(extent))
         journal = cls.__new__(cls)
-        journal.device = device
-        journal.config = config or JournalConfig()
-        journal.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        journal._extent = list(extent)
-        journal._slot_of = {block: slot for slot, block in enumerate(journal._extent)}
-        journal._extent_cursor = 1
-        journal._records = []
-        journal._record_blocks = []
-        journal._next_sequence = 0
-        journal._next_txn = 1
-        journal._open = None
-        journal._batching = False
-        journal._checkpoint_holds = 0
-        journal.reserved_blocks = len(journal._extent)
-        journal.stats = JournalStats()
-        journal._sb_generation = 0
+        journal._init_state(device, extent, config, telemetry)
         journal.recover()
         return journal
+
+    def _init_state(
+        self, device: BlockDevice, extent: Sequence[int],
+        config: Optional[JournalConfig], telemetry: Optional[Telemetry],
+    ) -> None:
+        """The one initializer of a journal object over ``extent``."""
+        self.device = device
+        self.config = config or JournalConfig()
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self._extent = list(extent)
+        self._slot_of = {block: slot for slot, block in enumerate(self._extent)}
+        self.reserved_blocks = len(self._extent)
+        self.stats = JournalStats()
+        self._reset_log()
+
+    def _reset_log(self) -> None:
+        """Log state of a journal that has read nothing from its extent.
+
+        A fresh journal starts here, and :meth:`recover` restarts here
+        before it scans, so an in-place recovery ends with exactly the
+        fields a remount over the same device bytes would build.
+        """
+        self._extent_cursor = 1  # next free slot; slot 0 is the superblock
+        self._records: List[JournalRecord] = []  # in-memory index of live records
+        self._record_blocks: List[List[int]] = []  # blocks backing each live record
+        self._next_sequence = 0
+        self._next_txn = 1
+        self._open: Optional[_OpenTransaction] = None
+        self._batching = False
+        self._checkpoint_holds = 0
+        self._sb_generation = 0
 
     @property
     def extent(self) -> List[int]:
@@ -479,47 +483,33 @@ class Journal:
     def recover(self) -> List[JournalRecord]:
         """Crash recovery proper: re-read the log from the device.
 
-        Nothing in-memory is trusted: the scan starts at the on-device
+        Nothing in-memory is trusted: the log state restarts from
+        :meth:`_reset_log`, the scan starts at the on-device
         superblock, follows the sequence chain, validates every
         record's framing/length/CRC, truncates torn tails (counted in
         ``stats.torn_records``), rolls an interrupted checkpoint
-        forward, and then *replaces* this journal's in-memory index,
-        sequence/txn counters and append cursor with what the device
-        actually holds.  Returns the committed WRITE/DELETE records in
-        order.  Its cost is proportional to the log length — which is
-        what the auto-checkpoint policy bounds, and what the SHARD
-        benchmark's remount comparison measures.  Records of
-        transactions lacking a COMMIT (a crash mid-batch) are dropped
-        wholesale: group commits are all-or-nothing.
+        forward, and rebuilds the in-memory index, sequence/txn
+        counters and append cursor from what the device actually
+        holds; only the cumulative ``stats`` carry over.  Returns the
+        committed WRITE/DELETE records in order (:meth:`replay`).  Its
+        cost is proportional to the log length — which is what the
+        auto-checkpoint policy bounds, and what the SHARD benchmark's
+        remount comparison measures.  Records of transactions lacking
+        a COMMIT (a crash mid-batch) are dropped wholesale: group
+        commits are all-or-nothing.
         """
         with self.telemetry.op("journal.recover") as span:
+            self._reset_log()
             scan = self._scan_extent()
             self._records = scan.records
             self._record_blocks = scan.record_blocks
             self._extent_cursor = scan.cursor
             if scan.records:
-                self._next_sequence = max(
-                    self._next_sequence, scan.records[-1].sequence + 1
-                )
-                self._next_txn = max(
-                    self._next_txn,
-                    max(record.txn_id for record in scan.records) + 1,
-                )
+                self._next_sequence = scan.records[-1].sequence + 1
+                self._next_txn = max(record.txn_id for record in scan.records) + 1
             else:
-                self._next_sequence = max(self._next_sequence, scan.next_seq_hint)
-            self._open = None
-            self._batching = False
-            committed_txns = {
-                record.txn_id
-                for record in self._records
-                if record.record_type == TXN_COMMIT
-            }
-            recovered = [
-                record
-                for record in self._records
-                if record.txn_id in committed_txns
-                and record.record_type in (TXN_WRITE, TXN_DELETE)
-            ]
+                self._next_sequence = scan.next_seq_hint
+            recovered = self.replay()
             self.stats.recovers += 1
             self.stats.recovered_records += len(recovered)
             self.stats.torn_records += scan.torn_records

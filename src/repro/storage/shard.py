@@ -110,15 +110,8 @@ class ShardedDBFS:
             raise errors.DBFSError(
                 f"a sharded DBFS needs at least 1 shard, got {shard_count}"
             )
-        self.cache_config = (
-            cache_config if cache_config is not None else DEFAULT_CACHE_CONFIG
-        )
-        self.journal_config = journal_config
-        # One Telemetry shared by every shard: spans from different
-        # shards land in the same tracer, which is what makes
-        # scatter-gather skew visible in a single trace.
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._shards: List[DatabaseFS] = [
+        self._configure(cache_config, journal_config, telemetry)
+        self._shards = [
             DatabaseFS(
                 device=devices[i] if devices is not None else None,
                 operator_key=operator_key,
@@ -129,6 +122,21 @@ class ShardedDBFS:
             )
             for i in range(shard_count)
         ]
+
+    def _configure(
+        self, cache_config: Optional[CacheConfig],
+        journal_config: Optional[JournalConfig], telemetry: Optional[Telemetry],
+    ) -> None:
+        """Object setup a fresh fleet and a remounted one share."""
+        self.cache_config = (
+            cache_config if cache_config is not None else DEFAULT_CACHE_CONFIG
+        )
+        self.journal_config = journal_config
+        # One Telemetry shared by every shard: spans from different
+        # shards land in the same tracer, which is what makes
+        # scatter-gather skew visible in a single trace.
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self._shards: List[DatabaseFS] = []
         # uid -> owning shard index; maintained at store time and
         # rebuilt from the shards' subject trees on remount.  Writes
         # take _uid_lock; lookups are lock-free single dict reads.
@@ -139,8 +147,8 @@ class ShardedDBFS:
         # shard index -> failure reason; only ever populated by
         # remount_from_devices when a shard's crash recovery fails.
         self._degraded: Dict[int, str] = {}
-        #: Per-shard crash-reconciliation reports of the last
-        #: remount_from_devices (empty for a normally built fleet).
+        #: Fleet and per-shard crash-reconciliation report of the last
+        #: remount (empty for a normally built fleet).
         self.recovery_report: Dict[str, object] = {}
 
     @classmethod
@@ -175,16 +183,7 @@ class ShardedDBFS:
                 f"(got {len(devices)} devices, {len(inode_tables)} tables)"
             )
         fleet = cls.__new__(cls)
-        fleet.cache_config = (
-            cache_config if cache_config is not None else DEFAULT_CACHE_CONFIG
-        )
-        fleet.journal_config = journal_config
-        fleet.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        fleet._shards = []
-        fleet._degraded = {}
-        fleet._uid_shard = {}
-        fleet._uid_lock = threading.Lock()
-        fleet._fanout = None
+        fleet._configure(cache_config, journal_config, telemetry)
         for index, (device, inodes) in enumerate(zip(devices, inode_tables)):
             try:
                 shard = DatabaseFS.remount_from_device(
@@ -202,19 +201,40 @@ class ShardedDBFS:
                 fleet._degraded[index] = f"{type(exc).__name__}: {exc}"
                 continue
             fleet._shards.append(shard)
-            for uid in shard.all_uids():
-                fleet._uid_shard[uid] = index
-        torn_batches = fleet._resolve_torn_fleet_batches()
-        fleet.recovery_report = {
-            "shards": len(fleet._shards),
-            "degraded": dict(fleet._degraded),
+        fleet._recover_fleet()
+        return fleet
+
+    def remount(self) -> Dict[str, object]:
+        """In-place remount: every healthy shard runs
+        :meth:`DatabaseFS.remount`, then the fleet step of
+        :meth:`remount_from_devices`.  Returns the fleet report."""
+        for _, shard in self._healthy():
+            shard.remount()
+        return self._recover_fleet()
+
+    def _recover_fleet(self) -> Dict[str, object]:
+        """Fleet step of both remounts: rebuild the uid→shard map, roll
+        back torn fleet batches, and report — schema counts once (the
+        schema trees are replicas), record-level counts summed."""
+        self._uid_shard = {uid: index for index, shard in self._healthy()
+                           for uid in shard.all_uids()}
+        torn_batches = self._resolve_torn_fleet_batches()
+        reports = [shard.recovery_report for _, shard in self._healthy()]
+        self.recovery_report = {
+            "shards": len(self._shards),
+            "degraded": dict(self._degraded),
             "torn_fleet_batches": torn_batches,
             "per_shard": [
                 shard.recovery_report if shard is not None else None
-                for shard in fleet._shards
+                for shard in self._shards
             ],
+            "types": reports[0]["types"] if reports else 0,
+            "field_indexes": reports[0]["field_indexes"] if reports else 0,
+            "records": len(self._uid_shard),
+            "lineage_groups": sum(r["lineage_groups"] for r in reports),
+            "escrow_blobs": sum(r["escrow_blobs"] for r in reports),
         }
-        return fleet
+        return self.recovery_report
 
     def _resolve_torn_fleet_batches(self) -> Dict[str, int]:
         """Presumed-abort resolution of cross-shard group commits.
@@ -733,6 +753,12 @@ class ShardedDBFS:
     ) -> None:
         self._owning_shard(uid).put_membrane(uid, membrane, credential)
 
+    def change_membrane(
+        self, uid: str, mutate: Callable[[Membrane], None],
+        credential: AccessCredential,
+    ) -> None:
+        self._owning_shard(uid).change_membrane(uid, mutate, credential)
+
     def lineage_members(self, lineage: str) -> List[str]:
         # A lineage id is the uid of the group's first copy source, so
         # the whole group lives on that uid's shard (lineage affinity).
@@ -935,26 +961,3 @@ class ShardedDBFS:
             entry["shard"] = index
             stats.append(entry)
         return stats
-
-    # ------------------------------------------------------------------
-    # Crash recovery
-    # ------------------------------------------------------------------
-
-    def remount(self) -> Dict[str, int]:
-        """Remount every shard and rebuild the uid→shard map.
-
-        Schema counts are reported once (the schema trees are
-        replicas); record-level counts are summed across shards.
-        """
-        per_shard = [shard.remount() for _, shard in self._healthy()]
-        self._uid_shard.clear()
-        for index, shard in self._healthy():
-            for uid in shard.all_uids():
-                self._uid_shard[uid] = index
-        return {
-            "types": per_shard[0]["types"],
-            "records": sum(r["records"] for r in per_shard),
-            "lineage_groups": sum(r["lineage_groups"] for r in per_shard),
-            "escrow_blobs": sum(r["escrow_blobs"] for r in per_shard),
-            "field_indexes": per_shard[0]["field_indexes"],
-        }

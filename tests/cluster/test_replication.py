@@ -9,6 +9,7 @@ import pytest
 
 from cluster_testkit import (cluster_system, collect_users,  # noqa: F401
                              sharded_cluster_system)
+from repro import errors
 from repro.cluster import LinkConfig, ReplicatedCluster
 from repro.core.active_data import AccessCredential
 from repro.storage.faults import FaultPlan
@@ -64,6 +65,35 @@ class TestPropagation:
             assert cluster.erasure_propagated(uid)
             for follower in cluster.followers:
                 assert follower.store.get_membrane(uid, DED).erased
+
+    def test_erasure_finished_by_leader_remount_propagates(
+        self, cluster, cluster_system
+    ):
+        # The erase intent commits, then its first scrub raises; the
+        # leader's in-place remount finishes the erasure and ships it
+        # as the delete it stands for.
+        refs = collect_users(cluster_system, 3)
+        cluster.sync()
+        device = cluster_system.dbfs.shard_for_uid(refs[1].uid).device
+        scrub = device.scrub
+
+        def failing_scrub(block_no):
+            device.scrub = scrub
+            raise errors.StorageError("scrub failed")
+
+        device.scrub = failing_scrub
+        with pytest.raises(errors.StorageError):
+            cluster_system.rights.erase("subj-1", mode="erase")
+        cluster_system.dbfs.remount()
+        cluster.sync()
+        assert cluster.erasure_propagated(refs[1].uid)
+        report = cluster.residue_report(
+            [b"Cluster User 1", b"cluster-pw-1"], subject_id="subj-1"
+        )
+        for follower in cluster.followers:
+            assert report[follower.node_id] == {
+                "device_blocks": 0, "journal_records": 0, "stream_records": 0,
+            }
 
     def test_schema_ops_propagate_once(self, cluster, cluster_system):
         # The fleet's schema trees are replicas: capture must take one
@@ -264,6 +294,36 @@ class TestShardedCluster:
             cluster.sync()
             for uid in outcome.erased_uids:
                 assert cluster.erasure_propagated(uid)
+        finally:
+            cluster.close()
+
+
+class TestReconcile:
+    def test_reconciled_membrane_is_not_shared_with_the_leader(
+        self, cluster_system
+    ):
+        # Anti-entropy hands the leader's membrane to a follower; a
+        # later revocation on the leader must not reach the follower
+        # while its link is down and nothing ships.
+        cluster = ReplicatedCluster(cluster_system, regions=("eu", "eu"))
+        try:
+            refs = collect_users(cluster_system, 2)
+            cluster.sync()
+            follower = cluster.followers[0]
+            follower.link.partition()
+            cluster_system.rights.grant_consent(
+                "subj-0", refs[0], "purpose2", "v_name"
+            )
+            cluster._reconcile(follower)
+            replica = follower.store.get_membrane(refs[0].uid, DED)
+            assert replica.permits("purpose2") == "v_name"
+
+            cluster_system.rights.object_to("subj-0", "purpose2")
+
+            leader = cluster_system.dbfs.get_membrane(refs[0].uid, DED)
+            assert leader.permits("purpose2") is None
+            replica = follower.store.get_membrane(refs[0].uid, DED)
+            assert replica.permits("purpose2") == "v_name"
         finally:
             cluster.close()
 

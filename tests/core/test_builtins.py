@@ -2,7 +2,9 @@
 
 import pytest
 
+import helpers
 from repro import RgpdOS, errors
+from repro.core.membrane import Membrane
 from repro.core.views import SCOPE_ALL
 from repro.workloads.generator import STANDARD_DECLARATIONS, PopulationGenerator
 
@@ -201,6 +203,95 @@ class TestDelete:
         assert report.erased_lineage == [alice.uid]
         clone = system.dbfs.get_membrane(copy_ref.uid, builtins.credential)
         assert not clone.erased
+
+
+class TestMembraneWritersUsePrivateCopies:
+    """A consent change takes effect when put_membrane commits it,
+    never earlier: writers change a private copy, not the object the
+    membrane cache hands to every reader."""
+
+    def test_grant_whose_inode_write_raises_changes_nothing(self, populated):
+        system, alice, _ = populated
+        system.register(helpers.marketing_blast)
+        dbfs = system.dbfs
+        inode_no = dbfs._membrane_index[alice.uid]
+        rewrite = dbfs.inodes.rewrite_scrubbed
+
+        def failing_rewrite(number, payload):
+            if number == inode_no:
+                raise errors.StorageError("membrane inode write failed")
+            rewrite(number, payload)
+
+        dbfs.inodes.rewrite_scrubbed = failing_rewrite
+        with pytest.raises(errors.StorageError):
+            system.rights.grant_consent("alice", alice, "purpose2", "v_name")
+        dbfs.inodes.rewrite_scrubbed = rewrite
+
+        assert system.invoke("marketing_blast", target=alice).processed == 0
+        durable = Membrane.from_json(dbfs.inodes.read_payload(inode_no).decode())
+        assert durable.permits("purpose2") is None
+        dbfs.remount()
+        assert system.invoke("marketing_blast", target=alice).processed == 0
+
+    def test_readers_see_a_revocation_only_once_it_commits(self, populated):
+        system, alice, _ = populated
+        dbfs = system.dbfs
+        credential = system.ps.builtins.credential
+        snapshot = dbfs.begin_snapshot()
+        seen = []
+
+        def read(**kwargs):
+            membrane = dbfs.get_membrane(alice.uid, credential, **kwargs)
+            seen.append(membrane.permits("purpose1"))
+
+        prepare = dbfs.mvcc.prepare_membrane
+        journal_op = dbfs._journal_op
+
+        def observing_prepare(uid, old_json):
+            read(snapshot=snapshot)
+            prepare(uid, old_json)
+
+        def observing_journal_op(op, target):
+            if op == "membrane_update":
+                read()
+                read(snapshot=snapshot)
+            journal_op(op, target)
+
+        dbfs.mvcc.prepare_membrane = observing_prepare
+        dbfs._journal_op = observing_journal_op
+        system.rights.object_to("alice", "purpose1")
+        read(snapshot=snapshot)
+        snapshot.release()
+
+        assert seen == ["all", "all", "all", "all"]
+        assert dbfs.get_membrane(alice.uid, credential).permits("purpose1") is None
+
+    def test_revocation_whose_commit_raises_is_served_from_the_inode(
+        self, populated
+    ):
+        # The inode write landed, the journal commit did not: readers
+        # must follow the inode, not a cached pre-revocation state.
+        system, alice, _ = populated
+        system.register(helpers.marketing_blast)
+        system.rights.grant_consent("alice", alice, "purpose2", "v_name")
+        assert system.invoke("marketing_blast", target=alice).processed == 1
+        dbfs = system.dbfs
+        journal_op = dbfs._journal_op
+
+        def failing_journal_op(op, target):
+            if op == "membrane_update":
+                raise errors.StorageError("journal commit failed")
+            journal_op(op, target)
+
+        dbfs._journal_op = failing_journal_op
+        with pytest.raises(errors.StorageError):
+            system.rights.object_to("alice", "purpose2")
+        dbfs._journal_op = journal_op
+
+        inode_no = dbfs._membrane_index[alice.uid]
+        durable = Membrane.from_json(dbfs.inodes.read_payload(inode_no).decode())
+        assert durable.permits("purpose2") is None
+        assert system.invoke("marketing_blast", target=alice).processed == 0
 
 
 class TestIndexedErasure:

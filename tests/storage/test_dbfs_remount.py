@@ -22,6 +22,7 @@ from repro.storage.query import (
     MembraneQuery,
     StoreRequest,
 )
+from repro.storage.shard import ShardedDBFS
 
 from test_dbfs import make_user_type, store_user
 
@@ -38,6 +39,27 @@ def dbfs(authority):
     fs = DatabaseFS(operator_key=authority.issue_operator_key("remount-op"))
     fs.create_type(make_user_type(), DED)
     return fs
+
+
+def build_store(authority, shards):
+    key = authority.issue_operator_key("remount-op")
+    if shards == 1:
+        fs = DatabaseFS(operator_key=key)
+    else:
+        fs = ShardedDBFS(shard_count=shards, operator_key=key)
+    fs.create_type(make_user_type(), DED)
+    return fs
+
+
+def fail_first_scrub(device):
+    """Make the next ``device.scrub`` raise, once."""
+    scrub = device.scrub
+
+    def failing(block_no):
+        device.scrub = scrub
+        raise errors.StorageError(f"scrub of block {block_no} failed")
+
+    device.scrub = failing
 
 
 def crash(dbfs):
@@ -155,6 +177,64 @@ class TestRemountRecovers:
         store_user(dbfs, "carol")
         # One re-read for the new live session, then cached again.
         assert dbfs.stats.format_reads == reads_before + 1
+
+
+class TestRemountRunsCrashRecovery:
+    """The in-place remount reconciles against the journal exactly as
+    the true-crash remount does: an erase whose intent committed is
+    finished, and stores the journal never committed are undone."""
+
+    @pytest.mark.parametrize("mode", ["erase", "escrow"])
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_erase_whose_first_scrub_raised_is_finished(
+        self, authority, shards, mode
+    ):
+        fs = build_store(authority, shards)
+        store_user(fs, "bystander", name="Kept Bystander", ssn="SSN-KEEP")
+        ref = store_user(fs, "victim", name="Scrub Victim", ssn="SSN-SCRUB")
+        fail_first_scrub(fs.shard_for_uid(ref.uid).device)
+        with pytest.raises(errors.StorageError):
+            fs.delete(DeleteRequest(ref.uid, mode=mode), DED)
+
+        fs.remount()
+
+        assert fs.get_membrane(ref.uid, DED).erased
+        residue = fs.residue_counts(
+            [b"Scrub Victim", b"SSN-SCRUB"], subject_id="victim",
+            uids=[ref.uid],
+        )
+        assert residue == {"device_blocks": 0, "journal_records": 0}
+        for shard in fs.shards:
+            assert shard.unowned_blocks(0, shard.device.block_count) == []
+
+    def test_finished_erase_reaches_observers_as_one_delete(self, dbfs):
+        ref = store_user(dbfs, "victim")
+        fail_first_scrub(dbfs.device)
+        with pytest.raises(errors.StorageError):
+            dbfs.delete(DeleteRequest(ref.uid, mode="erase"), DED)
+        observed = []
+        dbfs.add_mutation_observer(
+            lambda op, payload: observed.append((op, payload["uid"]))
+        )
+
+        dbfs.remount()
+
+        assert observed == [("delete", ref.uid)]
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_aborted_batch_is_rolled_back(self, authority, shards):
+        fs = build_store(authority, shards)
+        kept = store_user(fs, "kept")
+        with pytest.raises(RuntimeError):
+            with fs.batch():
+                store_user(fs, "doomed-a")
+                store_user(fs, "doomed-b")
+                raise RuntimeError("abort the group")
+
+        fs.remount()
+
+        assert fs.list_subjects() == ["kept"]
+        assert fs.all_uids() == [kept.uid]
 
 
 class TestTypeDescriptionRoundtrip:

@@ -13,6 +13,7 @@ import pytest
 from repro import errors
 from repro.core.active_data import AccessCredential
 from repro.core.crypto import Authority
+from repro.core.membrane import Membrane
 from repro.storage.cache import CacheConfig, LRUCache, MISSING
 from repro.storage.dbfs import DatabaseFS
 from repro.storage.query import (
@@ -131,6 +132,19 @@ class TestRecordCache:
         dbfs._select_scan("user", predicate)  # warm every cache
         dbfs.delete(DeleteRequest(refs["c"].uid, mode="erase"), DED)
         assert dbfs._select_scan("user", predicate) == [refs["d"].uid]
+
+
+class TestMembraneCache:
+    def test_put_membrane_keeps_no_reference_to_the_callers_object(
+        self, populated
+    ):
+        dbfs, refs = populated
+        uid = refs["a"].uid
+        shipped = Membrane.from_json(dbfs.get_membrane(uid, DED).to_json())
+        shipped.grant("marketing", "all", at=1.0, by="a")
+        dbfs.put_membrane(uid, shipped, DED)
+        shipped.revoke("marketing", at=2.0, by="a")
+        assert dbfs.get_membrane(uid, DED).permits("marketing") == "all"
 
 
 class TestListingCache:

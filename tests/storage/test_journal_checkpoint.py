@@ -33,6 +33,23 @@ from test_sharding import populate, store_subject
 
 DED = AccessCredential(holder="ckpt-ded", is_ded=True)
 
+REPAIRS = (
+    "rolled_back_stores", "redone_erasures", "index_repairs",
+    "orphan_inodes", "orphan_blocks",
+)
+
+
+def repairs(report):
+    """Non-zero repair counts of a fleet remount, summed over shards."""
+    totals = {
+        key: sum(shard[key] for shard in report["per_shard"])
+        for key in REPAIRS
+    }
+    totals["rolled_back_stores"] += (
+        report["torn_fleet_batches"]["rolled_back_stores"]
+    )
+    return {key: count for key, count in totals.items() if count}
+
 
 @pytest.fixture
 def authority():
@@ -146,7 +163,8 @@ class TestBatchAtomicity:
 
     def test_sharded_crash_mid_batch_is_all_or_nothing(self, authority):
         """Crash inside ShardedDBFS.batch(): no shard's journal commits
-        the group, and remount counts are stable per shard."""
+        the group, the first remount rolls its stores back, and a
+        second remount finds nothing left to repair."""
         sharded = ShardedDBFS(
             shard_count=4,
             operator_key=authority.issue_operator_key("crash-op"),
@@ -168,12 +186,14 @@ class TestBatchAtomicity:
             assert [
                 r.target for r in shard.journal.recover()
             ] == committed[index]
-        # Remount after the crash is deterministic: two remounts agree
-        # with each other and with the inode-tree truth per shard.
         first = sharded.remount()
+        subjects = sharded.list_subjects()
         second = sharded.remount()
-        assert first == second
-        assert first["records"] == sum(
+        assert repairs(first)["rolled_back_stores"] == 2
+        assert repairs(second) == {}
+        assert sharded.list_subjects() == subjects
+        assert "doomed-a" not in subjects and "doomed-b" not in subjects
+        assert first["records"] == second["records"] == sum(
             len(shard.all_uids()) for shard in sharded.shards
         )
 
