@@ -31,7 +31,7 @@ operation names to latency-histogram summaries pulled from the
 telemetry registry (``repro.obs``)::
 
     "latency": {
-      "dbfs.select": {"count": 800, "p50_us": 41.2, "p95_us": 97.0,
+      "dbfs.select_where": {"count": 800, "p50_us": 41.2, "p95_us": 97.0,
                       "p99_us": 143.8, "max_us": 512.0, "mean_us": 48.9}
     }
 """

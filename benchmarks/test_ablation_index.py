@@ -1,11 +1,12 @@
 """ABL-I — ablation: B-tree field index vs full scan in DBFS.
 
 Idea 3 turns files into typed records; this ablation quantifies one
-payoff: selective queries over a typed field.  An indexed selection
-touches O(log n + matches) index keys; the scan parses every record
-(and its membrane) in the table.  The crossover is immediate and the
-gap widens with the store — the design-choice evidence for DBFS
-carrying database machinery inside the filesystem.
+payoff: selective queries over a typed field.  Both stores answer
+through the one query planner: an indexed selection touches
+O(log n + matches) index keys; the scan decodes the predicate's field
+of every row in the table.  The gap widens with the store — the
+design-choice evidence for DBFS carrying database machinery inside
+the filesystem.
 """
 
 import time

@@ -197,7 +197,7 @@ def test_concurrency_mix_throughput():
         speedup=speedup, baseline="serial_seconds",
         latency=latency_block(
             conc_runner.adapter.system.telemetry.registry,
-            ["ps.invoke", "rights.access", "rights.erase", "dbfs.select",
+            ["ps.invoke", "rights.access", "rights.erase", "dbfs.select_where",
              "dbfs.export_subject", "journal.commit"],
         ),
         extra={

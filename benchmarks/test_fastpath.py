@@ -104,7 +104,7 @@ def test_fastpath_repeated_scan(benchmark, authority):
         },
         speedup=speedup, baseline="caches_off_seconds",
         latency=latency_block(
-            cached.telemetry.registry, ["dbfs.select", "block.read"]
+            cached.telemetry.registry, ["dbfs.select_where", "block.read"]
         ),
         extra={"cache_stats": cached.cache_stats()},
     )

@@ -77,7 +77,7 @@ def test_shard_subject_scoped_mix():
         latencies[shards] = latency_block(
             runner.adapter.system.telemetry.registry,
             ["ps.invoke", "rights.access", "rights.erase",
-             "dbfs.select", "dbfs.export_subject", "journal.commit"],
+             "dbfs.select_where", "dbfs.export_subject", "journal.commit"],
         )
     speedup = timings[1] / timings[SHARDS]
 

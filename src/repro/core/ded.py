@@ -449,10 +449,13 @@ class DataExecutionDomain:
         """Translate the invocation target into a membrane query.
 
         ``where`` — one predicate or a conjunctive sequence — narrows
-        the candidate uids before any membrane is touched: a single
-        predicate goes through :meth:`DatabaseFS.select_uids` (indexed
-        when possible), several go through the planned
-        :meth:`DatabaseFS.select_uids_where` pushdown.
+        the candidate uids through the planned
+        :meth:`DatabaseFS.select_uids_where` pushdown before any
+        membrane is touched.  So the predicates run on records whose
+        subjects may not consent to ``purpose``, and
+        ``InvocationResult.denied`` counts the matches the consent
+        filter then drops: a known leak of one bit of unconsented PD
+        per call (see ``docs/API.md``, query planning).
         """
         if isinstance(target, PDRef):
             type_name: str = target.pd_type
@@ -486,14 +489,9 @@ class DataExecutionDomain:
                         f"predicate names unknown field "
                         f"{predicate.field_name!r} of type {type_name!r}"
                     )
-            if len(predicates) == 1:
-                matching = self.dbfs.select_uids(
-                    type_name, predicates[0], self.credential
-                )
-            else:
-                matching = self.dbfs.select_uids_where(
-                    type_name, predicates, self.credential
-                )
+            matching = self.dbfs.select_uids_where(
+                type_name, predicates, self.credential
+            )
             if uids is None:
                 uids = tuple(matching)
             else:

@@ -75,14 +75,7 @@ from .block import BlockDevice, store_bytes
 from .btree import BloomFilter, DurableFieldIndex, bloom_key
 from .cache import MISSING, CacheConfig, DEFAULT_CACHE_CONFIG, LRUCache
 from .codec import ENCODING_V2, RecordCodec, codec_for_format, encode_record_v1
-from .planner import (
-    INDEXABLE_OPS,
-    STRATEGY_INDEX,
-    IndexLookup,
-    QueryPlan,
-    compile_residual,
-    plan_query,
-)
+from .planner import STRATEGY_INDEX, QueryPlan, compile_residual, plan_query
 from .inode import (
     KIND_DIRECTORY,
     KIND_FORMAT,
@@ -106,6 +99,10 @@ from .query import (
 )
 
 _uid_counter = itertools.count(1)
+
+#: Rows per chunk on the batched read path (MVCC visibility is checked
+#: once per chunk).
+SCAN_BATCH_ROWS = 256
 
 
 def _locked_writer(method):
@@ -186,11 +183,10 @@ class DatabaseFS:
         cache_config: Optional[CacheConfig] = None,
         journal_config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        scan_batch_rows: int = 256,
         bloom_filters: bool = True,
     ) -> None:
         self._configure(device, operator_key, cache_config, telemetry,
-                        scan_batch_rows, bloom_filters)
+                        bloom_filters)
         # Inode capacity tracks the device: a bigger device (the
         # sharding benchmarks size devices per population slice) gets
         # a proportionally bigger table; the default 65536-block
@@ -224,14 +220,11 @@ class DatabaseFS:
         self, device: Optional[BlockDevice],
         operator_key: Optional[OperatorKey],
         cache_config: Optional[CacheConfig], telemetry: Optional[Telemetry],
-        scan_batch_rows: int, bloom_filters: bool,
+        bloom_filters: bool,
     ) -> None:
         """Settings a fresh store and a remounted one take alike."""
         self.cache_config = cache_config if cache_config is not None else DEFAULT_CACHE_CONFIG
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: Rows per chunk on the batched read path; 0 restores the
-        #: row-at-a-time legacy scan (the batching benchmark's baseline).
-        self.scan_batch_rows = scan_batch_rows
         #: Per-table subject/uid bloom filters gating negative lookups.
         self.bloom_filters = bloom_filters
         self.device = device or BlockDevice(
@@ -359,7 +352,7 @@ class DatabaseFS:
             self.cache_config.record_cache_records, name="record-cache"
         )
         # Sorted per-table uid listing (type -> sorted uids), so
-        # _select_scan/_candidate_uids stop re-sorting table.children
+        # table scans and _candidate_uids stop re-sorting table.children
         # on every query.  Invalidated on store/delete of that type.
         self._listing_cache: Dict[str, List[str]] = {}
         # Decoded Membrane objects (uid -> Membrane), sharing one
@@ -673,6 +666,10 @@ class DatabaseFS:
         with self._index_lock:
             return sorted(self._field_indexes)
 
+    # ------------------------------------------------------------------
+    # Selection: one planner, one batched scan
+    # ------------------------------------------------------------------
+
     def select_uids(
         self,
         type_name: str,
@@ -680,81 +677,14 @@ class DatabaseFS:
         credential: AccessCredential,
         snapshot: Optional[Snapshot] = None,
     ) -> List[str]:
-        """uids of live records matching one comparison predicate.
-
-        Uses the field index when one exists (logarithmic + output
-        size); falls back to a full record scan otherwise.  This is
-        the pushdown entry the ABL-I benchmark compares.  With a
-        ``snapshot``, records stored after the snapshot began are
-        filtered out of either path.
+        """uids of live records matching one predicate: the
+        one-predicate case of :meth:`select_uids_where`, so an indexed
+        field is one index lookup and any other field a batched scan.
+        This is the pushdown entry the ABL-I benchmark compares.
         """
-        self._require_ded(credential, "select_uids")
-        self.get_type(type_name)
-        with self._index_lock:
-            index = self._field_indexes.get((type_name, predicate.field_name))
-        indexed = index is not None and predicate.op in INDEXABLE_OPS
-        with self.telemetry.op(
-            "dbfs.select", pd_type=type_name,
-            field=predicate.field_name, indexed=indexed,
-        ) as span:
-            if indexed:
-                uids = self._select_indexed(index, predicate)
-            else:
-                uids = self._select_scan(type_name, predicate)
-            if snapshot is not None:
-                uids = [
-                    uid for uid in uids
-                    if self.mvcc.visible(uid, snapshot.version)
-                ]
-            span.set_attr("matched", len(uids))
-            return uids
-
-    def _select_indexed(
-        self, index: DurableFieldIndex, predicate: Predicate
-    ) -> List[str]:
-        # The whole B-tree traversal runs under the index lock: a
-        # writer splitting a node mid-range-walk would corrupt the
-        # result.  Writers hold the same lock only for their (short)
-        # add/remove, so this never waits out journal or device IO.
-        lookup = IndexLookup.merge(predicate.field_name, (predicate,))
-        with self._index_lock:
-            return sorted(lookup.uids(index))
-
-    def _select_scan(
-        self,
-        type_name: str,
-        predicate: Predicate,
-        snapshot: Optional[Snapshot] = None,
-    ) -> List[str]:
-        if not self.scan_batch_rows:
-            # Legacy row-at-a-time scan (kept as the batching
-            # benchmark's baseline, selected with scan_batch_rows=0).
-            matches = []
-            for uid in self._table_listing(type_name):
-                if snapshot is not None and not self.mvcc.visible(
-                    uid, snapshot.version
-                ):
-                    continue
-                membrane = self._load_membrane(uid)
-                if membrane.erased:
-                    continue
-                try:
-                    record = self._load_record_raw(uid)
-                except errors.ExpiredPDError:
-                    # Erased by a concurrent writer between the membrane
-                    # check and the payload read — skip, same as erased.
-                    continue
-                if predicate.evaluate(record):
-                    matches.append(uid)
-            return matches
-        evaluate = compile_residual((predicate,))
-        matches = []
-        for rows in self._iter_live_batches(
-            type_name, self._table_listing(type_name),
-            (predicate.field_name,), snapshot,
-        ):
-            matches.extend(uid for uid, record in rows if evaluate(record))
-        return matches
+        return self.select_uids_where(
+            type_name, (predicate,), credential, snapshot
+        )
 
     def _iter_live_batches(
         self,
@@ -764,29 +694,30 @@ class DatabaseFS:
         snapshot: Optional[Snapshot] = None,
     ) -> Iterator[List[Tuple[str, Dict[str, object]]]]:
         """Yield ``(uid, projected_record)`` rows in visibility-filtered
-        chunks of ``scan_batch_rows``.
+        chunks of :data:`SCAN_BATCH_ROWS`.
 
-        This is the zero-copy batched read path: per chunk, MVCC
-        visibility is answered in one lock acquisition
+        This is DBFS's one read path for selection, a scan's and an
+        index plan's residual alike: per chunk, MVCC visibility is
+        answered in one lock acquisition
         (:meth:`MVCCState.visible_many`), then each live row is read as
         a :class:`memoryview` straight off its block
         (``read_payload_view``) and partially decoded to just
         ``fields`` through the v2 offset table.  Erasure is decided
         from the record inode's ``erased`` attr — no membrane loads on
-        the scan path.  The sensitive sibling inode is only touched
-        when a wanted field is sensitive.
+        the scan path.  With no ``fields`` no payload is read at all,
+        and the sensitive sibling inode is only touched when a wanted
+        field is sensitive.
         """
         wanted = frozenset(fields)
         codec = self._codec_of(type_name)
         sensitive_wanted = wanted.intersection(
             self._format_of(type_name)["sensitive_fields"]
         )
-        batch_rows = max(1, self.scan_batch_rows)
         record_cache = self._record_cache
         record_index = self._record_index
         inodes = self.inodes
-        for start in range(0, len(uids), batch_rows):
-            chunk = uids[start:start + batch_rows]
+        for start in range(0, len(uids), SCAN_BATCH_ROWS):
+            chunk = uids[start:start + SCAN_BATCH_ROWS]
             if snapshot is not None:
                 chunk = self.mvcc.visible_many(chunk, snapshot.version)
             rows: List[Tuple[str, Dict[str, object]]] = []
@@ -796,6 +727,9 @@ class DatabaseFS:
                     continue
                 inode = inodes.get(inode_no)
                 if inode.attrs["erased"]:
+                    continue
+                if not wanted:
+                    rows.append((uid, {}))
                     continue
                 cached = record_cache.get(uid)
                 if cached is not MISSING:
@@ -819,10 +753,6 @@ class DatabaseFS:
                 self.stats.fields_decoded += len(record)
                 rows.append((uid, record))
             yield rows
-
-    # ------------------------------------------------------------------
-    # Planned multi-predicate selection
-    # ------------------------------------------------------------------
 
     def explain(
         self,
@@ -904,13 +834,14 @@ class DatabaseFS:
         fields_needed = plan.fields_needed
         partial_before = self.stats.partial_decodes
         full_before = self.stats.full_decodes
-        batched = bool(self.scan_batch_rows)
-        evaluate = compile_residual(plan.residual)
         if plan.strategy == STRATEGY_INDEX:
             # Drive from the cheapest lookup and intersect the others'
-            # uid sets: no indexed predicate costs a row decode.  One
-            # hold of the index lock (see _select_indexed) makes every
-            # lookup see the same index state.
+            # uid sets: no indexed predicate costs a row decode.  The
+            # whole traversal runs under one hold of the index lock: a
+            # writer splitting a node mid-range-walk would corrupt the
+            # result, and every lookup sees the same index state.
+            # Writers hold the lock only for their (short) add/remove,
+            # so this never waits out journal or device IO.
             with self._index_lock:
                 indexes = self._field_indexes
                 first, *rest = plan.lookups
@@ -925,91 +856,27 @@ class DatabaseFS:
                     ))
                     candidates = [uid for uid in candidates if uid in keep]
             candidates.sort()
-            if snapshot is not None:
-                candidates = self.mvcc.visible_many(
-                    candidates, snapshot.version
-                )
             if not plan.residual:
-                return candidates  # index holds live records only
-            # Residual filtering: decode just the fields of the
-            # predicates no index answers (the lookups already proved
-            # liveness and every indexed predicate), a batch at a time
-            # on the zero-copy read path.
-            with self.telemetry.span(
-                "dbfs.decode", rows=len(candidates),
-                fields=list(fields_needed),
-            ) as span:
-                matches = []
-                if batched:
-                    for rows in self._iter_live_batches(
-                        plan.type_name, candidates, fields_needed
-                    ):
-                        matches.extend(
-                            uid for uid, record in rows if evaluate(record)
-                        )
-                else:
-                    for uid in candidates:
-                        try:
-                            record = self._load_record_fields(
-                                uid, fields_needed
-                            )
-                        except errors.ExpiredPDError:
-                            continue  # erased by a concurrent writer
-                        if evaluate(record):
-                            matches.append(uid)
-                span.set_attrs(
-                    partial_decodes=self.stats.partial_decodes - partial_before,
-                    full_decodes=self.stats.full_decodes - full_before,
-                )
-            return matches
-        # Scan strategy: every live row, partial-decoded to the union
-        # of the predicate fields; the compiled residual rejects rows
-        # batch by batch.
-        matches = []
-        listing = self._table_listing(plan.type_name)
-        with self.telemetry.span(
-            "dbfs.decode", rows=len(listing), fields=list(fields_needed),
-        ) as span:
-            if batched and not plan.residual:
-                # No residual: liveness + visibility only, no payloads.
-                batch_rows = max(1, self.scan_batch_rows)
-                for start in range(0, len(listing), batch_rows):
-                    chunk = listing[start:start + batch_rows]
-                    if snapshot is not None:
-                        chunk = self.mvcc.visible_many(
-                            chunk, snapshot.version
-                        )
-                    for uid in chunk:
-                        inode_no = self._record_index.get(uid)
-                        if inode_no is None:
-                            continue
-                        if self.inodes.get(inode_no).attrs["erased"]:
-                            continue
-                        matches.append(uid)
-            elif batched:
-                for rows in self._iter_live_batches(
-                    plan.type_name, listing, fields_needed, snapshot
-                ):
-                    matches.extend(
-                        uid for uid, record in rows if evaluate(record)
+                if snapshot is not None:
+                    candidates = self.mvcc.visible_many(
+                        candidates, snapshot.version
                     )
-            else:
-                for uid in listing:
-                    if snapshot is not None and not self.mvcc.visible(
-                        uid, snapshot.version
-                    ):
-                        continue
-                    if self._load_membrane(uid).erased:
-                        continue
-                    if not plan.residual:
-                        matches.append(uid)
-                        continue
-                    try:
-                        record = self._load_record_fields(uid, fields_needed)
-                    except errors.ExpiredPDError:
-                        continue  # erased by a concurrent writer
-                    if evaluate(record):
-                        matches.append(uid)
+                return candidates  # index holds live records only
+        else:
+            candidates = self._table_listing(plan.type_name)
+        # Residual filtering: decode just the fields of the predicates
+        # no index answers, a batch at a time on the zero-copy read
+        # path; the compiled residual rejects rows batch by batch.  A
+        # scan with no residual reads no payloads.
+        evaluate = compile_residual(plan.residual)
+        matches = []
+        with self.telemetry.span(
+            "dbfs.decode", rows=len(candidates), fields=list(fields_needed),
+        ) as span:
+            for rows in self._iter_live_batches(
+                plan.type_name, candidates, fields_needed, snapshot
+            ):
+                matches.extend(uid for uid, record in rows if evaluate(record))
             span.set_attrs(
                 partial_decodes=self.stats.partial_decodes - partial_before,
                 full_decodes=self.stats.full_decodes - full_before,
@@ -2291,7 +2158,6 @@ class DatabaseFS:
         cache_config: Optional[CacheConfig] = None,
         journal_config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        scan_batch_rows: int = 256,
         bloom_filters: bool = True,
     ) -> "DatabaseFS":
         """True-crash remount: a fresh DBFS over surviving state only.
@@ -2316,7 +2182,7 @@ class DatabaseFS:
         """
         fs = cls.__new__(cls)
         fs._configure(device, operator_key, cache_config, telemetry,
-                      scan_batch_rows, bloom_filters)
+                      bloom_filters)
         device.drop_page_cache()
         fs.inodes = inodes
 

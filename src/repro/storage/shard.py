@@ -17,7 +17,8 @@ subject-scoped operations flat in the population size:
 * *routing* — store, fetch, update, delete, export, membrane get/put
   and the post-erasure residue scan touch only the owning shard (a
   delete's ``device.scan`` walks one shard's blocks, not all of them);
-* *scatter-gather* — type-level queries (``select_uids``,
+* *scatter-gather* — type-level queries (``select_uids_where``, of
+  which ``select_uids`` is the one-predicate case,
   ``query_membranes``, ``iter_membranes``, ``forensic_scan``) fan out
   to every shard and merge, preserving the single-DBFS result order;
 * *batched rights* — multi-subject operations group their per-shard
@@ -525,22 +526,10 @@ class ShardedDBFS:
         credential: AccessCredential,
         snapshot: Optional[FleetSnapshot] = None,
     ) -> List[str]:
-        def one(index: int, shard: DatabaseFS) -> List[str]:
-            with self.telemetry.span(
-                "shard.fanout", shard=index, op="select_uids"
-            ):
-                return shard.select_uids(
-                    type_name, predicate, credential,
-                    snapshot=self._sub(snapshot, index),
-                )
-
-        matches: List[str] = []
-        for per_shard in self._fan([
-            (lambda i=index, s=shard: one(i, s))
-            for index, shard in self._healthy()
-        ]):
-            matches.extend(per_shard)
-        return sorted(matches)
+        """The one-predicate case of :meth:`select_uids_where`."""
+        return self.select_uids_where(
+            type_name, (predicate,), credential, snapshot
+        )
 
     def select_uids_where(
         self,

@@ -1,13 +1,16 @@
-"""Property tests: indexed selection ≡ scan selection (SQL-NULL rule).
+"""Property tests: every selection equals a brute-force filter.
 
-For every comparison operator the B-tree-backed ``_select_indexed``
-fast path must return exactly what the full-decode ``_select_scan``
-returns, over randomized populations that include records *missing*
-the indexed field entirely (which, per SQL NULL semantics, match no
-predicate).  The planner properties check multi-predicate conjunctions
-against a brute-force filter: every op plus ``contains``, two indexed
-fields and an unindexed one, two bounds on one field, values of the
-wrong type, at 1 and 4 shards and under an MVCC snapshot.
+``select_uids`` is the one-predicate case of the planner
+(``select_uids_where``): a predicate on an indexed field is one index
+lookup, any other a batched scan.  For every comparison operator both
+must return exactly what :func:`brute_force` returns (every live
+record fully decoded and checked with ``Predicate.evaluate``), over
+randomized populations that include records *missing* the field
+entirely (which, per SQL NULL semantics, match no predicate).  The
+planner properties check multi-predicate conjunctions against the same
+filter: every op plus ``contains``, two indexed fields, an unindexed
+one and a sensitive one, two bounds on one field, values of the wrong
+type, at 1 and 4 shards and under an MVCC snapshot.
 """
 
 from hypothesis import example, given, settings
@@ -43,6 +46,7 @@ def prop_type():
             FieldDef("name", "string"),
             FieldDef("year", "int", required=False),
             FieldDef("city", "string", required=False),
+            FieldDef("ssn", "string", required=False, sensitive=True),
         ),
         collection={"web_form": "form.html"},
         ttl_seconds=1000.0,
@@ -64,6 +68,24 @@ def build_store(years, cities=None):
     return fs
 
 
+def decoded(fs):
+    """Every live record of one store, fully decoded (the input of
+    :func:`brute_force`)."""
+    return {
+        uid: fs._load_record_raw(uid) for uid in fs.all_uids()
+        if not fs.inodes.get(fs._record_index[uid]).attrs["erased"]
+    }
+
+
+def brute_force(records, predicates):
+    """uids of the records meeting every predicate, one record at a
+    time through ``Predicate.evaluate``."""
+    return sorted(
+        uid for uid, record in records.items()
+        if all(p.evaluate(record) for p in predicates)
+    )
+
+
 class TestIndexedEqualsScan:
     @given(
         years=YEARS,
@@ -77,19 +99,23 @@ class TestIndexedEqualsScan:
     )
     @settings(max_examples=60, deadline=None)
     def test_all_six_ops_agree(self, years, op, value):
+        """The scan plan before the index exists and the index lookup
+        after it both equal the brute-force filter."""
         fs = build_store(years)
-        index = fs.create_index("user", "year", DED)
         predicate = Predicate("year", op, value)
-        assert fs._select_indexed(index, predicate) == \
-            fs._select_scan("user", predicate)
+        scanned = fs.select_uids("user", predicate, DED)
+        fs.create_index("user", "year", DED)
+        assert fs.explain("user", (predicate,), DED).strategy == "index"
+        assert fs.select_uids("user", predicate, DED) == scanned == \
+            brute_force(decoded(fs), (predicate,))
 
     @given(op=st.sampled_from(SIX_OPS))
     @settings(max_examples=6, deadline=None)
     def test_records_missing_field_never_match(self, op):
         fs = build_store([None, None, 1910])
-        index = fs.create_index("user", "year", DED)
+        fs.create_index("user", "year", DED)
         predicate = Predicate("year", op, 1910)
-        for uid in fs._select_indexed(index, predicate):
+        for uid in fs.select_uids("user", predicate, DED):
             assert "year" in fs._load_record_raw(uid)
 
 
@@ -106,6 +132,7 @@ FIELD_VALUES = {
     "year": st.integers(min_value=1899, max_value=1907),
     "city": st.sampled_from(["A", "Lyon", "Nice", "Paris", "Z"]),
     "name": st.sampled_from(["u1", "u", "1", "x"]),
+    "ssn": st.sampled_from(["0", "1", "2", "9"]),
 }
 #: Values of the wrong type: a cross-type comparison must be answered
 #: as a scan answers it.
@@ -113,6 +140,7 @@ WRONG_VALUES = {
     "year": st.sampled_from(["1903", ""]),
     "city": st.integers(min_value=0, max_value=3),
     "name": st.integers(min_value=0, max_value=3),
+    "ssn": st.integers(min_value=0, max_value=3),
 }
 ALL_OPS = SIX_OPS + ["contains"]
 
@@ -127,10 +155,11 @@ def field_values(draw, name):
 
 @st.composite
 def conjunctions(draw):
-    """Predicates over two indexed fields (year, city) and an unindexed
-    one (name) with all seven ops, plus a lower and an upper bound on
-    one indexed field in either order; one pair in four is crossed,
-    so equal or crossed bounds give empty intervals."""
+    """Predicates over two indexed fields (year, city), an unindexed
+    one (name) and a sensitive one (ssn) with all seven ops, plus a
+    lower and an upper bound on one indexed field in either order; one
+    pair in four is crossed, so equal or crossed bounds give empty
+    intervals."""
     predicates = [
         Predicate(name, draw(st.sampled_from(ALL_OPS)),
                   draw(field_values(name)))
@@ -158,8 +187,9 @@ def new_store(shards):
 
 
 def store_population(fs, years, cities):
-    """Store one record per year (None: field missing); returns
-    {uid: record}, the oracle the planned answers are checked against."""
+    """Store one record per year (None: field missing; every third
+    record lacks the sensitive ssn); returns {uid: record}, the oracle
+    the planned answers are checked against."""
     pd_type = prop_type()
     records = {}
     for i, year in enumerate(years):
@@ -169,17 +199,12 @@ def store_population(fs, years, cities):
         city = cities[i % len(cities)]
         if city is not None:
             record["city"] = city
+        if i % 3:
+            record["ssn"] = str(i % 4)
         membrane = membrane_for_type(pd_type, f"s{i}", created_at=0.0)
         ref = fs.store(StoreRequest("user", record, membrane.to_json()), DED)
         records[ref.uid] = record
     return records
-
-
-def brute_force(records, predicates):
-    return sorted(
-        uid for uid, record in records.items()
-        if all(p.evaluate(record) for p in predicates)
-    )
 
 
 class TestPlannerEqualsBruteForce:
@@ -280,3 +305,61 @@ class TestPlannerEqualsBruteForce:
             ) == brute_force(records, predicates)
         finally:
             snapshot.release()
+
+
+class TestSelectUidsIsTheOnePredicatePlan:
+    @given(
+        years=NARROW_YEARS, cities=CITIES,
+        field_name=st.sampled_from(sorted(FIELD_VALUES)),
+        op=st.sampled_from(ALL_OPS), indexed=st.booleans(),
+        shards=st.sampled_from([1, 4]), pinned=st.booleans(),
+        cold=st.booleans(), data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_select_uids_equals_planner_and_brute_force(
+        self, years, cities, field_name, op, indexed, shards, pinned,
+        cold, data,
+    ):
+        """``select_uids(t, p) == select_uids_where(t, (p,))``, and
+        both equal the brute-force filter: all seven ops, wrong-typed
+        values, a sensitive field, indexed and unindexed, live and
+        under a snapshot taken before an update, an erasure and a
+        later store, with rows served from the record cache or
+        decoded off their blocks."""
+        fs = new_store(shards)
+        records = store_population(fs, years + [1901, 1905], cities)
+        if indexed:
+            fs.create_index("user", "year", DED)
+            fs.create_index("user", "city", DED)
+        snapshot = fs.begin_snapshot() if pinned else None
+        try:
+            updated, erased = data.draw(st.lists(
+                st.sampled_from(sorted(records)),
+                min_size=2, max_size=2, unique=True,
+            ))
+            changes = {"year": data.draw(FIELD_VALUES["year"]),
+                       "city": "Nice"}
+            fs.update(UpdateRequest(updated, changes), DED)
+            records[updated] = {**records[updated], **changes}
+            fs.delete(DeleteRequest(erased, mode="erase"), DED)
+            del records[erased]
+            later = store_population(fs, [1903], ["Lyon"])
+            if snapshot is None:
+                records.update(later)
+            predicate = Predicate(
+                field_name, op, data.draw(field_values(field_name))
+            )
+            if cold:
+                for shard in fs.shards:
+                    shard._record_cache.clear()
+
+            expected = brute_force(records, (predicate,))
+            assert fs.select_uids(
+                "user", predicate, DED, snapshot=snapshot
+            ) == expected
+            assert fs.select_uids_where(
+                "user", (predicate,), DED, snapshot=snapshot
+            ) == expected
+        finally:
+            if snapshot is not None:
+                snapshot.release()

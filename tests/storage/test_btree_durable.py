@@ -10,8 +10,10 @@ Three layers of coverage:
   produces a false negative (including after RTBF erasure and a true
   remount);
 * DBFS-level integration — erasure leaves no phantom uids in durable
-  pages, remount attaches instead of rebuilding, and negative subject
-  lookups are answered by the table bloom without touching the device.
+  pages, remount attaches instead of rebuilding, negative subject
+  lookups are answered by the table bloom without touching the device,
+  and the batched scan equals a row-at-a-time brute-force filter
+  across chunk boundaries.
 """
 
 import pytest
@@ -28,10 +30,12 @@ from repro.storage.btree import (
     FieldIndex,
     bloom_key,
 )
+import repro.storage.dbfs as dbfs_module
 from repro.storage.dbfs import DatabaseFS
 from repro.storage.inode import KIND_DIRECTORY, InodeTable
 from repro.storage.query import DeleteRequest, MembraneQuery, Predicate
 
+from properties.test_select_properties import brute_force, decoded
 from test_dbfs import make_user_type, store_user
 
 DED = AccessCredential(holder="durable-index-ded", is_ded=True)
@@ -357,23 +361,29 @@ class TestDBFSDurableIntegration:
         )) == 8
         assert recovered.stats.index_page_reads > 0
 
-    def test_batched_scan_matches_row_at_a_time(self, authority):
-        key = authority.issue_operator_key("batch-op")
-        batched = DatabaseFS(operator_key=key, scan_batch_rows=16)
-        legacy = DatabaseFS(operator_key=key, scan_batch_rows=0)
-        subjects = {}  # (fs id, uid) -> subject; uids differ per instance
-        for fs in (batched, legacy):
-            fs.create_type(make_user_type(), DED)
-            for i, s in enumerate("abcdefghij"):
-                ref = store_user(fs, s, name=f"User {s}", year=1980 + (i % 4))
-                subjects[(id(fs), ref.uid)] = s
+    def test_batched_scan_matches_row_at_a_time(self, dbfs, monkeypatch):
+        """The batched scan, in chunks of 3 rows so every answer
+        crosses chunk boundaries, equals the row-at-a-time brute-force
+        filter, with an erased row and a sensitive field in the way and
+        every row decoded off its blocks."""
+        monkeypatch.setattr(dbfs_module, "SCAN_BATCH_ROWS", 3)
+        refs = [
+            store_user(dbfs, s, name=f"User {s}", ssn=str(i % 3),
+                       year=1980 + (i % 4))
+            for i, s in enumerate("abcdefghij")
+        ]
+        dbfs.delete(DeleteRequest(refs[4].uid, mode="erase"), DED)
+        records = decoded(dbfs)
+        assert len(records) == 9
+        dbfs._record_cache.clear()
         for op, value in (("eq", 1981), ("ne", 1981), ("lt", 1982),
                           ("le", 1982), ("gt", 1982), ("ge", 1982)):
             predicate = Predicate("year", op, value)
-            assert sorted(
-                subjects[(id(batched), uid)]
-                for uid in batched.select_uids("user", predicate, DED)
-            ) == sorted(
-                subjects[(id(legacy), uid)]
-                for uid in legacy.select_uids("user", predicate, DED)
-            ), f"batched scan diverges from legacy scan on {op}"
+            assert dbfs.select_uids("user", predicate, DED) == \
+                brute_force(records, (predicate,)), (
+                    f"batched scan diverges from brute force on {op}"
+                )
+        for predicate in (Predicate("ssn", "eq", "1"),
+                          Predicate("name", "contains", "User")):
+            assert dbfs.select_uids("user", predicate, DED) == \
+                brute_force(records, (predicate,))

@@ -10,8 +10,9 @@ no "mostly correct under load" allowances:
   revoked consent, no matter how many writers are in flight;
 * a snapshot begun after an RTBF erasure must never expose the
   scrubbed payload;
-* the indexed and scan select paths must agree on records no writer
-  touches, and may disagree only on uids the writers own;
+* an index plan and a scan plan of one predicate must agree on
+  records no writer touches, and may disagree only on uids the
+  writers own;
 * a store is invisible to an older snapshot from the moment a reader
   can find it (deterministic: the select runs inside the store's
   journal commit);
@@ -32,6 +33,7 @@ from repro.core.membrane import membrane_for_type
 from repro.engine import RequestEngine
 from repro.storage.crashsim import CrashSim
 from repro.storage.dbfs import DatabaseFS
+from repro.storage.planner import plan_query
 from repro.storage.query import (
     DeleteRequest,
     MembraneQuery,
@@ -209,11 +211,12 @@ class TestSnapshotIsolationStress:
 
 class TestIndexScanEquivalence:
     def test_indexed_equals_scan_under_parallel_writers(self):
-        """``_select_indexed`` ≡ ``_select_scan`` while writers churn.
+        """The index plan ≡ a scan plan while writers churn.
 
         The writers own a disjoint "volatile" population (inserted and
         erased in a loop); a stable population is never touched.  On
-        every round both select paths run over the same predicate:
+        every round the planner's index lookup and a scan plan of the
+        same predicate (planned with no index) run on the same store:
         they must agree exactly on the stable uids, and any difference
         must be confined to volatile uids (a record committed between
         the two calls), never a phantom.
@@ -229,6 +232,8 @@ class TestIndexScanEquivalence:
             store(dbfs, f"stable-{i}", year=1900 + i).uid for i in range(20)
         }
         predicate = Predicate("year", "ge", 1900)
+        assert dbfs.explain("user", [predicate], DED).strategy == "index"
+        scan_plan = plan_query("user", (predicate,), {}, table_rows=0)
         stop = threading.Event()
         volatile_uids = set()
         volatile_lock = threading.Lock()
@@ -257,7 +262,7 @@ class TestIndexScanEquivalence:
                 indexed = set(
                     dbfs.select_uids_where("user", [predicate], DED)
                 )
-                scanned = set(dbfs._select_scan("user", predicate))
+                scanned = set(dbfs._execute_plan(scan_plan))
                 with volatile_lock:
                     churning = set(volatile_uids)
                 assert indexed & stable_uids == stable_uids
@@ -274,7 +279,7 @@ class TestIndexScanEquivalence:
 
         # Quiesced: the paths must agree exactly, volatile included.
         indexed = sorted(dbfs.select_uids_where("user", [predicate], DED))
-        scanned = sorted(dbfs._select_scan("user", predicate))
+        scanned = dbfs._execute_plan(scan_plan)
         assert indexed == scanned
 
     def test_snapshot_select_is_stable_under_writers(self):

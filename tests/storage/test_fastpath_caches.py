@@ -24,6 +24,7 @@ from repro.storage.query import (
     UpdateRequest,
 )
 
+from properties.test_select_properties import brute_force, decoded
 from test_dbfs import make_user_type, store_user
 
 DED = AccessCredential(holder="cache-ded", is_ded=True)
@@ -128,10 +129,11 @@ class TestRecordCache:
 
     def test_select_scan_never_returns_erased_uid(self, populated):
         dbfs, refs = populated
-        predicate = Predicate("year", "eq", 1990)
-        dbfs._select_scan("user", predicate)  # warm every cache
+        predicate = Predicate("year", "eq", 1990)  # unindexed: a scan
+        assert dbfs.explain("user", [predicate], DED).strategy == "scan"
+        dbfs.select_uids("user", predicate, DED)  # warm every cache
         dbfs.delete(DeleteRequest(refs["c"].uid, mode="erase"), DED)
-        assert dbfs._select_scan("user", predicate) == [refs["d"].uid]
+        assert dbfs.select_uids("user", predicate, DED) == [refs["d"].uid]
 
 
 class TestMembraneCache:
@@ -150,25 +152,25 @@ class TestMembraneCache:
 class TestListingCache:
     def test_repeat_scan_reuses_listing(self, populated):
         dbfs, refs = populated
-        predicate = Predicate("year", "ge", 1980)
-        dbfs._select_scan("user", predicate)
+        predicate = Predicate("year", "ge", 1980)  # unindexed: a scan
+        dbfs.select_uids("user", predicate, DED)
         before = dbfs.stats.listing_cache_hits
-        dbfs._select_scan("user", predicate)
+        dbfs.select_uids("user", predicate, DED)
         assert dbfs.stats.listing_cache_hits > before
 
     def test_store_invalidates_listing(self, populated):
         dbfs, refs = populated
         predicate = Predicate("year", "ge", 1980)
-        assert len(dbfs._select_scan("user", predicate)) == 5
+        assert len(dbfs.select_uids("user", predicate, DED)) == 5
         new_ref = store_user(dbfs, "f", year=1999)
-        uids = dbfs._select_scan("user", predicate)
+        uids = dbfs.select_uids("user", predicate, DED)
         assert new_ref.uid in uids
         assert len(uids) == 6
 
     def test_disabled_listing_cache_stays_empty(self):
         dbfs = make_dbfs(CacheConfig.disabled())
         store_user(dbfs, "a", year=1980)
-        dbfs._select_scan("user", Predicate("year", "ge", 0))
+        dbfs.select_uids("user", Predicate("year", "ge", 0), DED)
         assert dbfs._listing_cache == {}
         assert dbfs.stats.listing_cache_hits == 0
 
@@ -187,7 +189,7 @@ class TestIndexedOpNe:
         result = dbfs.select_uids("user", predicate, DED)
         # The indexed path touches no record payloads.
         assert dbfs.device.stats.reads == reads_before
-        assert result == dbfs._select_scan("user", predicate)
+        assert result == brute_force(decoded(dbfs), (predicate,))
         assert result == sorted(
             refs[s].uid for s in ("a", "b", "e")
         )
@@ -221,10 +223,11 @@ class TestIndexMaintenanceUnderCaches:
     def test_erased_uid_never_returned_by_any_op(self, indexed):
         dbfs, refs = indexed
         # Warm record + listing caches first so a stale copy would be
-        # available if invalidation were broken.
-        for predicate in (Predicate("year", "eq", 1990),
-                          Predicate("year", "le", 3000)):
-            dbfs._select_scan("user", predicate)
+        # available if invalidation were broken.  ``name`` has no
+        # index, so selecting on it scans the table listing.
+        scanned = Predicate("name", "eq", "Ada")
+        decoded(dbfs)
+        dbfs.select_uids("user", scanned, DED)
         erased = refs["c"].uid
         dbfs.delete(DeleteRequest(erased, mode="erase"), DED)
         for op, value in (("eq", 1990), ("ne", 0), ("le", 3000),
@@ -232,9 +235,7 @@ class TestIndexMaintenanceUnderCaches:
             assert erased not in dbfs.select_uids(
                 "user", Predicate("year", op, value), DED
             ), f"erased uid returned by indexed {op}"
-        assert erased not in dbfs._select_scan(
-            "user", Predicate("year", "le", 3000)
-        )
+        assert erased not in dbfs.select_uids("user", scanned, DED)
 
     def test_update_after_update_keeps_single_entry(self, indexed):
         dbfs, refs = indexed
@@ -301,7 +302,7 @@ class TestCacheObservability:
     def test_remount_clears_every_cache(self, populated):
         dbfs, refs = populated
         dbfs._load_record_raw(refs["a"].uid)
-        dbfs._select_scan("user", Predicate("year", "ge", 0))
+        dbfs.select_uids("user", Predicate("year", "ge", 0), DED)
         assert len(dbfs._record_cache) > 0
         assert dbfs._listing_cache
         assert dbfs._membrane_cache
@@ -324,7 +325,10 @@ class TestDisabledConfigEquivalence:
             observations.append(
                 dbfs.select_uids("user", Predicate("year", op, value), DED)
             )
-        observations.append(dbfs._select_scan("user", Predicate("year", "ge", 0)))
+        # ``name`` has no index: a scan of the (cached) table listing.
+        observations.append(
+            dbfs.select_uids("user", Predicate("name", "ge", ""), DED)
+        )
         observations.append(
             {uid: dbfs._load_record_raw(uid)
              for uid in dbfs.all_uids() if uid != refs[1].uid}
